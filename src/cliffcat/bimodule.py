@@ -26,7 +26,6 @@ from .complexes import (
     RAlgebraOps,
     Summand,
     chain_map_defect,
-    is_closed_map,
     verify_mc,
 )
 from .quiver import DIAG, XSIDE, YSIDE, arrow_cohdeg, arrow_qdeg, pair_mask
@@ -63,11 +62,13 @@ def t_pair(n, x, y):
                 continue
             mon_b = slices[j][3]
             entry = ra.basis_mon_r(n, mon, mon_b)
-            assert entry is not None, (vx.fmt(mon), vx.fmt(mon_b))
+            if entry is None:
+                raise AssertionError(f"no T differential {vx.fmt(mon)} -> {vx.fmt(mon_b)}")
             delta[(j, i)] = frozenset([entry])
     c = ProjComplex(RAlgebraOps(n), summands, delta)
     ok, witness = verify_mc(c)
-    assert ok, witness
+    if not ok:
+        raise AssertionError(f"T{vx.fmt_pair((x, y))} is invalid: {witness}")
     return TPair(n, x, y, c, index, slices)
 
 
@@ -124,7 +125,8 @@ def right_act_chainmap(n, xy, kind, t):
         if j is None:
             continue
         kt, _, et, mon_t = tgt.slices[j]
-        assert kt == k + dslice, (k, kt, dslice)
+        if kt != k + dslice:
+            raise AssertionError(f"{kind}{t} moves slice {k} to {kt}, not by {dslice}")
         if uses_gen:
             if mon & pair_mask(t):
                 continue
@@ -146,7 +148,8 @@ def identity_chainmap(tp):
 
 def compose_chainmaps(f, g):
     """g after f (apply f's generator first)."""
-    assert f.target is g.source or f.target.summands == g.source.summands
+    if f.target is not g.source and f.target.summands != g.source.summands:
+        raise AssertionError("composed chain maps do not meet")
     n = f.source.ops.n
     out = {}
     for (j, i), e1 in f.entries.items():
@@ -175,14 +178,13 @@ def act_path(n, source_pair, arrows):
     for kind, s in arrows:
         chain = compose_chainmaps(chain, right_act_chainmap(n, at, kind, s))
         at = apply_arrow(at, kind, s)
-        assert at is not None
+        if at is None:
+            raise AssertionError(f"arrow {kind}{s} does not apply along the path")
     return chain
 
 
 def act_element(n, elem):
     """Chain map of an F2 combination of boxed monomials with common endpoints."""
-    from .boxalgebra import path_target
-
     chains = [act_path(n, src, arrows) for src, arrows in elem]
     out = chains[0]
     for c in chains[1:]:
@@ -303,7 +305,8 @@ def verify_bimodule(n, seed=0, samples=200):
 
 def tensor_T(c):
     """Replace each boxed summand by its shifted T block; entries act factor-wise."""
-    assert c.ops.tag == "Box"
+    if c.ops.tag != "Box":
+        raise AssertionError(f"tensor_T needs a complex over the box algebra, got {c.ops.tag}")
     n = c.ops.n
     blocks = []  # per outer summand: (t_pair, base index into new summands)
     summands = []

@@ -80,9 +80,9 @@ class BoxAlgebra:
     minute, while typical complexes touch only a few sources.
     """
 
-    def __init__(self, n, bound=BOX_BOUND):
-        if n > bound:
-            raise ValueError(f"box algebra bound {bound} exceeded for n={n}")
+    def __init__(self, n):
+        if n > BOX_BOUND:
+            raise ValueError(f"box algebra bound {BOX_BOUND} exceeded for n={n}")
         self.n = n
         self._normal = {}  # (source, arrows) -> canonical arrows
         self._classes = {}  # (source, target) -> [canonical arrows]
@@ -251,7 +251,8 @@ class BoxAlgebra:
         (x2, y2) = path_target(source, arrows)
         left = ra.basis_mon_r(self.n, x, x2)
         right = ra.basis_mon_r(self.n, y, y2)
-        assert left is not None and right is not None
+        if left is None or right is None:
+            raise AssertionError(f"side path has no R monomial: {fmt_mono_box(mono)}")
         return (left, right)
 
     def h_map(self, a):
@@ -272,8 +273,8 @@ class BoxAlgebra:
 
 
 @lru_cache(maxsize=None)
-def box_algebra(n, bound=BOX_BOUND):
-    return BoxAlgebra(n, bound)
+def box_algebra(n):
+    return BoxAlgebra(n)
 
 
 def fmt_mono_box(mono):

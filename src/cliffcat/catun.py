@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import kzero as kz
 from . import vertices as vx
 from .bimodule import tensor_T
 from .complexes import (
@@ -20,7 +19,6 @@ from .complexes import (
     k0_class,
     lift_to_box,
     projective,
-    shift,
     tensor_f2,
     zero_complex,
 )
@@ -159,10 +157,6 @@ def lift_word(n, word):
     return build(tree)
 
 
-def word_letters_k0(n, word):
-    return kz.iota(n, word.letters)
-
-
 # ---------------------------------------------------------------------------
 # structural checks
 
@@ -183,8 +177,8 @@ def ee_shape_check(n):
     """The squared-generator complexes: two equal slices, zero differential.
 
     Lifting EE (resp. FF) must give summands at positions -1 and 0, each the
-    sum of P([i,j]) over same-parity i > j, with no delta entries.
-    Returns a list of failure strings.
+    sum of P([i,j]) over same-parity i > j, with no delta entries and a zero
+    class in K0.  Returns a list of failure strings.
     """
     failures = []
     for name, parity in (("EE", 0), ("FF", 1)):
@@ -203,6 +197,8 @@ def ee_shape_check(n):
             failures.append(f"{name}: unexpected slice positions")
         if c.delta:
             failures.append(f"{name}: differential not zero")
+        if k0_class(c):
+            failures.append(f"{name}: K0 class not zero")
     return failures
 
 

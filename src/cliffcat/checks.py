@@ -1,0 +1,253 @@
+"""The invariants behind the paper's claims, each as one sweep.
+
+Every function returns ``(failures, checks)``: the failure witnesses (empty
+when the invariant holds) and the number of comparisons it evaluated.  The
+verification suites of the command line tool and the acceptance tests both
+call these functions, so the two always check the same things.  Library
+modules do not import this one.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from . import bimodule as bm
+from . import boxalgebra as bx
+from . import catun as cu
+from . import complexes as cx
+from . import kzero as kz
+from . import quiver as qv
+from . import ralgebra as ra
+from . import vertices as vx
+from .laurent import LaurentZH
+
+ASSOC_DRAWS = 100000  # random triples per associativity sweep above n = 3
+
+# the words whose lifts are checked: every word of length 1..3 over these
+WORDS = [w for k in (1, 2, 3) for w in product(("E", "F", "Q", "Qinv"), repeat=k)]
+
+# the components of Gamma_2 by Euler grading
+GAMMA2_COMPONENTS = {
+    0: ["[1,0]", "[2,1]", "[]"],
+    1: ["[0]", "[2,1,0]", "[2]"],
+    -1: ["[1]"],
+    2: ["[2,0]"],
+}
+
+
+def quiver_failures(n):
+    """Vertex count, arrow shapes and Euler-constant components of Gamma_n;
+    at n = 2 also the exact component lists."""
+    g = qv.build_gamma(n)
+    failures, checks = [], 1
+    if len(g.vertices) != 1 << (n + 1):
+        failures.append(f"n={n}: vertex count")
+    for v, arrs in g.out_arrows.items():
+        for s, w in arrs:
+            checks += 1
+            if vx.length(w) != vx.length(v) + 2:
+                failures.append(f"n={n}: arrow {vx.fmt(v)}->{vx.fmt(w)}: length")
+            if w != (v | qv.pair_mask(s)) or v & qv.pair_mask(s):
+                failures.append(f"n={n}: arrow {vx.fmt(v)}->{vx.fmt(w)}: shape")
+    comps = qv.components(g)
+    for comp in comps:
+        checks += 1
+        if len({vx.euler(v) for v in comp}) != 1:
+            failures.append(f"n={n}: Euler grading not constant on a component")
+    if n == 2:
+        checks += 1
+        by_euler = {vx.euler(c[0]): sorted(vx.fmt(v) for v in c) for c in comps}
+        if by_euler != GAMMA2_COMPONENTS:
+            failures.append(f"n=2: components {by_euler}")
+    return failures, checks
+
+
+def oracle_failures(n):
+    """The normal form against the path-enumeration oracle: Hom dimensions,
+    and composable products landing on a nonzero basis monomial."""
+    failures, checks = [], 0
+    verts = list(vx.all_vertices(n))
+    for x in verts:
+        for w in verts:
+            checks += 1
+            d = 0 if ra.basis_mon_r(n, x, w) is None else 1
+            if d != ra.oracle_dim_r(n, x, w):
+                failures.append(f"n={n}: dim mismatch at {vx.fmt(x)}->{vx.fmt(w)}")
+    for x in verts:
+        for w in verts:
+            if ra.basis_mon_r(n, x, w) is None:
+                continue
+            for v in verts:
+                if ra.basis_mon_r(n, w, v) is None:
+                    continue
+                checks += 1
+                got = ra.mult_mono_r(n, (x, w), (w, v))
+                if got != (x, v) or ra.oracle_dim_r(n, x, v) != 1:
+                    failures.append(
+                        f"n={n}: product at {vx.fmt(x)}->{vx.fmt(w)}->{vx.fmt(v)}"
+                    )
+    return failures, checks
+
+
+def box_dg_failures(n):
+    """d^2 = 0 and the (+1, 0) bidegree of d on every box class."""
+    alg = bx.box_algebra(n)
+    failures, checks = [], 0
+    for m in alg.all_monomials():
+        checks += 1
+        dm = alg.diff_mono(m)
+        if alg.diff(dm):
+            failures.append(f"n={n}: d^2 != 0 at {bx.fmt_mono_box(m)}")
+        cd, qd = alg.cohdeg(m[1]), alg.qdeg(m[1])
+        for dmono in dm:
+            if alg.cohdeg(dmono[1]) != cd + 1 or alg.qdeg(dmono[1]) != qd:
+                failures.append(f"n={n}: d bidegree at {bx.fmt_mono_box(m)}")
+    return failures, checks
+
+
+def box_formality_failures(n):
+    """Cohomology of every Hom-space is the tensor square in degree 0, and
+    h_map is multiplicative on every composable pair of classes."""
+    alg = bx.box_algebra(n)
+    failures, checks = [], 0
+    verts = list(vx.all_vertices(n))
+    for src in product(verts, verts):
+        for tgt in product(verts, verts):
+            checks += 1
+            want = ra.dim_rr(n, src, tgt)
+            if alg.cohomology_dims(src, tgt) != ({0: want} if want else {}):
+                failures.append(
+                    f"n={n}: cohomology at {vx.fmt_pair(src)}->{vx.fmt_pair(tgt)}"
+                )
+    monos = list(alg.all_monomials())
+    by_source = {}
+    for m in monos:
+        by_source.setdefault(m[0], []).append(m)
+    for m1 in monos:
+        for m2 in by_source.get(bx.path_target(*m1), []):
+            checks += 1
+            lhs = alg.h_map(frozenset([alg.mult_mono(m1, m2)]))
+            rhs = ra.mult_rr(n, alg.h_map(frozenset([m1])), alg.h_map(frozenset([m2])))
+            if lhs != rhs:
+                failures.append(
+                    f"n={n}: h_map not multiplicative at "
+                    f"{bx.fmt_mono_box(m1)} * {bx.fmt_mono_box(m2)}"
+                )
+    return failures, checks
+
+
+def local_lemma_failures(n):
+    """The three local associativity lemmas of the h-graded product, with
+    the case (1) defect vanishing at h = -1."""
+    failures, checks = [], 0
+    one = LaurentZH.unit()
+    h = LaurentZH.monomial(0, 1)
+
+    def vanishes_at_h(cls):
+        return not any(c.specialize_h(-1) for c in cls.values())
+
+    for s in range(n):
+        a, b = 1 << s, 1 << (s + 1)
+        checks += 4
+        lhs = kz.higher_mult_kh(n, {a: one}, kz.higher_mult(n, a, b))
+        if lhs != {a: (one + h) * LaurentZH.monomial(2 * s + 1 - n, 0)}:
+            failures.append(f"n={n}: local lemma (1) at s={s}")
+        if kz.higher_mult_kh(n, kz.higher_mult(n, a, a), {b: one}):
+            failures.append(f"n={n}: local lemma (1) rhs at s={s}")
+        if not vanishes_at_h(lhs):
+            failures.append(f"n={n}: local lemma (1) specialization at s={s}")
+        lhs2 = kz.higher_mult_kh(n, {a: one}, kz.higher_mult(n, b, b))
+        rhs2 = kz.higher_mult_kh(n, kz.higher_mult(n, a, b), {b: one})
+        if not (vanishes_at_h(lhs2) and vanishes_at_h(rhs2)):
+            failures.append(f"n={n}: local lemma (2) at s={s}")
+    for s in range(1, n):
+        a, b, c = 1 << (s - 1), 1 << s, 1 << (s + 1)
+        checks += 1
+        lhs = kz.higher_mult_kh(n, {a: one}, kz.higher_mult(n, b, c))
+        rhs = kz.higher_mult_kh(n, kz.higher_mult(n, a, b), {c: one})
+        if lhs != rhs:
+            failures.append(f"n={n}: local lemma (3) at s={s}")
+    return failures, checks
+
+
+def single_letter_failures(n):
+    """The h-graded product of two length-one vertices, in closed form."""
+    failures, checks = [], 0
+    for a in range(n + 1):
+        for b in range(n + 1):
+            checks += 1
+            if a > b:
+                want = {(1 << a) | (1 << b): LaurentZH.unit()}
+            elif a == b:
+                want = {}
+            elif a < b - 1:
+                want = {(1 << a) | (1 << b): LaurentZH.monomial(0, (-1) ** (a + b + 1))}
+            else:
+                want = {
+                    0: LaurentZH.monomial(2 * a + 1 - n, 0),
+                    (1 << a) | (1 << b): LaurentZH.monomial(0, 1),
+                }
+            if kz.higher_mult(n, 1 << a, 1 << b) != want:
+                failures.append(f"n={n}: special case M([{a}],[{b}])")
+    return failures, checks
+
+
+def assoc_triples(n, rng):
+    """Every vertex triple for n <= 3, else ASSOC_DRAWS triples from rng."""
+    if n <= 3:
+        verts = list(vx.all_vertices(n))
+        return product(verts, verts, verts)
+    return (
+        tuple(rng.randrange(1 << (n + 1)) for _ in range(3)) for _ in range(ASSOC_DRAWS)
+    )
+
+
+def associativity_failures(n, triples):
+    """m(m(a, b), c) == m(a, m(b, c)) for the specialized product."""
+    failures, checks = [], 0
+    for a, b, c in triples:
+        checks += 1
+        lhs = kz.mult(n, kz.mult_mono(n, a, b), kz.kclass(c))
+        rhs = kz.mult(n, kz.kclass(a), kz.mult_mono(n, b, c))
+        if lhs != rhs:
+            failures.append(f"n={n}: associativity at {vx.fmt(a)},{vx.fmt(b)},{vx.fmt(c)}")
+    return failures, checks
+
+
+def t_pair_k0_failures(n):
+    """K0 of every per-pair complex T(x, y) equals the specialized product."""
+    failures, checks = [], 0
+    for x in vx.all_vertices(n):
+        for y in vx.all_vertices(n):
+            checks += 1
+            if cx.k0_class(bm.t_pair(n, x, y).complex) != kz.mult_mono(n, x, y):
+                failures.append(f"n={n}: k0(T{vx.fmt_pair((x, y))}) != m")
+    return failures, checks
+
+
+def letter_failures(n):
+    """The E and F complexes: K0 is the letter's image, and the unit laws."""
+    failures, checks = [], 0
+    for letter in ("E", "F"):
+        checks += 3
+        c = cu.letter_complex(n, letter)
+        if cx.k0_class(c) != kz.iota_letter(n, letter):
+            failures.append(f"n={n}: k0 of {letter}")
+        failures += [f"n={n}: {letter}: {msg}" for msg in cu.unit_law_check(n, c)]
+    return failures, checks
+
+
+def word_lift_failures(n):
+    """Every word in WORDS under every association tree lifts to a valid
+    complex whose K0 class is the word's product folded over the same tree."""
+    failures, checks = [], 0
+    for w in WORDS:
+        for tree in cu._all_trees(0, len(w)):
+            checks += 1
+            lifted = cu.lift_word(n, cu.Word(w, tree))
+            ok, witness = cx.verify_mc(lifted)
+            if not ok:
+                failures.append(f"n={n}: lift of {''.join(w)} assoc {tree}: {witness}")
+            if cx.k0_class(lifted) != kz.iota(n, w, tree):
+                failures.append(f"n={n}: k0 of lift of {''.join(w)} assoc {tree}")
+    return failures, checks

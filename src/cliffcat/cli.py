@@ -15,14 +15,13 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import bimodule as bm
-from . import boxalgebra as bx
 from . import catun as cu
+from . import checks as ck
 from . import complexes as cx
 from . import kzero as kz
 from . import quiver as qv
 from . import ralgebra as ra
 from . import vertices as vx
-from .laurent import LaurentZH
 
 # default n caps per suite, tuned so `verify --suite all` stays at desk scale
 SUITE_BOUNDS = {
@@ -52,237 +51,57 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 # verification suites
 
+CLIFFORD_SAMPLES = 1000
+
+
+def _report(suite, n, *results):
+    """A SuiteReport summing (failures, checks) results of cliffcat.checks."""
+    rep = SuiteReport(suite, n)
+    for failures, checks in results:
+        rep.failures += failures
+        rep.checks += checks
+    return rep
+
 
 def suite_quiver(n, rng):
-    rep = SuiteReport("quiver", n)
-    g = qv.build_gamma(n)
-    if len(g.vertices) != 1 << (n + 1):
-        rep.failures.append("vertex count")
-    rep.checks += 1
-    for v, arrs in g.out_arrows.items():
-        for s, w in arrs:
-            rep.checks += 1
-            if vx.length(w) != vx.length(v) + 2:
-                rep.failures.append(f"arrow {vx.fmt(v)}->{vx.fmt(w)}: length")
-            if w != (v | qv.pair_mask(s)) or v & qv.pair_mask(s):
-                rep.failures.append(f"arrow {vx.fmt(v)}->{vx.fmt(w)}: shape")
-    for comp in qv.components(g):
-        rep.checks += 1
-        if len({vx.euler(v) for v in comp}) != 1:
-            rep.failures.append("Euler grading not constant on a component")
-    if n == 2:
-        comps = qv.components(g)
-        sizes = sorted(len(c) for c in comps)
-        eulers = sorted(vx.euler(c[0]) for c in comps)
-        rep.checks += 1
-        if sizes != [1, 1, 3, 3] or eulers != [-1, 0, 1, 2]:
-            rep.failures.append("n=2 component structure")
-    return rep
+    return _report("quiver", n, ck.quiver_failures(n))
 
 
 def suite_algebra(n, rng):
-    rep = SuiteReport("algebra", n)
-    for x in vx.all_vertices(n):
-        for w in vx.all_vertices(n):
-            rep.checks += 1
-            d = 0 if ra.basis_mon_r(n, x, w) is None else 1
-            if d != ra.oracle_dim_r(n, x, w):
-                rep.failures.append(f"dim mismatch at {vx.fmt(x)}->{vx.fmt(w)}")
-    # composable triples: the product of basis monomials is the basis monomial
-    for x in vx.all_vertices(n):
-        for w in vx.all_vertices(n):
-            if ra.basis_mon_r(n, x, w) is None:
-                continue
-            for v in vx.all_vertices(n):
-                if ra.basis_mon_r(n, w, v) is None:
-                    continue
-                rep.checks += 1
-                got = ra.mult_mono_r(n, (x, w), (w, v))
-                if got != (x, v) or ra.oracle_dim_r(n, x, v) != 1:
-                    rep.failures.append(
-                        f"product at {vx.fmt(x)}->{vx.fmt(w)}->{vx.fmt(v)}"
-                    )
-    return rep
+    return _report("algebra", n, ck.oracle_failures(n))
 
 
 def suite_box(n, rng):
-    rep = SuiteReport("box", n)
-    alg = bx.box_algebra(n)
-    monos = list(alg.all_monomials())
-    for m in monos:
-        rep.checks += 1
-        dm = alg.diff_mono(m)
-        if alg.diff(dm):
-            rep.failures.append(f"d^2 != 0 at {bx.fmt_mono_box(m)}")
-        cd, qd = alg.cohdeg(m[1]), alg.qdeg(m[1])
-        for dmono in dm:
-            if alg.cohdeg(dmono[1]) != cd + 1 or alg.qdeg(dmono[1]) != qd:
-                rep.failures.append(f"d bidegree at {bx.fmt_mono_box(m)}")
-    for x1 in vx.all_vertices(n):
-        for y1 in vx.all_vertices(n):
-            for x2 in vx.all_vertices(n):
-                for y2 in vx.all_vertices(n):
-                    rep.checks += 1
-                    dims = alg.cohomology_dims((x1, y1), (x2, y2))
-                    want = ra.dim_rr(n, (x1, y1), (x2, y2))
-                    if dims != ({0: want} if want else {}):
-                        rep.failures.append(
-                            f"cohomology at {vx.fmt_pair((x1, y1))}->{vx.fmt_pair((x2, y2))}"
-                        )
-    from .boxalgebra import path_target
-
-    by_source = {}
-    for m in monos:
-        by_source.setdefault(m[0], []).append(m)
-    for m1 in monos:
-        tgt = path_target(m1[0], m1[1])
-        for m2 in by_source.get(tgt, []):
-            rep.checks += 1
-            p = alg.mult_mono(m1, m2)
-            lhs = alg.h_map(frozenset([p]))
-            rhs = ra.mult_rr(n, alg.h_map(frozenset([m1])), alg.h_map(frozenset([m2])))
-            if lhs != rhs:
-                rep.failures.append(
-                    f"H not multiplicative at {bx.fmt_mono_box(m1)} * {bx.fmt_mono_box(m2)}"
-                )
-    return rep
+    return _report("box", n, ck.box_dg_failures(n), ck.box_formality_failures(n))
 
 
-def suite_clifford(n, rng, samples=1000):
-    rep = SuiteReport("clifford", n)
-    rep.failures = kz.clifford_check(n, rng, samples)
-    rep.checks = (n + 1) + (n + 1) * n // 2 + n + samples
-    return rep
+def suite_clifford(n, rng):
+    checks = (n + 1) + (n + 1) * n // 2 + n + CLIFFORD_SAMPLES
+    return _report("clifford", n, (kz.clifford_check(n, rng, CLIFFORD_SAMPLES), checks))
 
 
-def _local_lemma_failures(n):
-    out = []
-    one = LaurentZH.unit()
-    h = LaurentZH.monomial(0, 1)
-    for s in range(n):
-        a, b = 1 << s, 1 << (s + 1)
-        lhs = kz.higher_mult_kh(n, {a: one}, kz.higher_mult(n, a, b))
-        want = {a: (one + h) * LaurentZH.monomial(2 * s + 1 - n, 0)}
-        if lhs != want:
-            out.append(f"local (1) at s={s}")
-        if kz.higher_mult_kh(n, kz.higher_mult(n, a, a), {b: one}):
-            out.append(f"local (1) rhs at s={s}")
-        lhs2 = kz.higher_mult_kh(n, {a: one}, kz.higher_mult(n, b, b))
-        rhs2 = kz.higher_mult_kh(n, kz.higher_mult(n, a, b), {b: one})
-        if any(c.specialize_h(-1) for c in lhs2.values()) or any(
-            c.specialize_h(-1) for c in rhs2.values()
-        ):
-            out.append(f"local (2) at s={s}")
-    for s in range(1, n):
-        a, b, c = 1 << (s - 1), 1 << s, 1 << (s + 1)
-        lhs = kz.higher_mult_kh(n, {a: one}, kz.higher_mult(n, b, c))
-        rhs = kz.higher_mult_kh(n, kz.higher_mult(n, a, b), {c: one})
-        if lhs != rhs:
-            out.append(f"local (3) at s={s}")
-    return out
-
-
-def suite_kzero(n, rng, random_triples=100000):
-    rep = SuiteReport("kzero", n)
-    rep.failures.extend(_local_lemma_failures(n))
-    rep.checks += 3 * n
-    # special cases of the product on single letters
-    for a in range(n + 1):
-        for b in range(n + 1):
-            rep.checks += 1
-            got = kz.higher_mult(n, 1 << a, 1 << b)
-            if a > b:
-                want = {(1 << a) | (1 << b): LaurentZH.unit()}
-            elif a == b:
-                want = {}
-            elif a < b - 1:
-                want = {(1 << a) | (1 << b): LaurentZH.monomial(0, (-1) ** (a + b + 1))}
-            else:
-                want = {
-                    0: LaurentZH.monomial(2 * a + 1 - n, 0),
-                    (1 << a) | (1 << b): LaurentZH.monomial(0, 1),
-                }
-            if got != want:
-                rep.failures.append(f"special case M([{a}],[{b}])")
-    # associativity: exhaustive at small n, sampled above
-    if n <= 3:
-        triples = (
-            (a, b, c)
-            for a in vx.all_vertices(n)
-            for b in vx.all_vertices(n)
-            for c in vx.all_vertices(n)
-        )
-    else:
-        triples = (
-            tuple(rng.randrange(1 << (n + 1)) for _ in range(3))
-            for _ in range(random_triples)
-        )
-    for a, b, c in triples:
-        rep.checks += 1
-        lhs = kz.mult(n, kz.mult_mono(n, a, b), kz.kclass(c))
-        rhs = kz.mult(n, kz.kclass(a), kz.mult_mono(n, b, c))
-        if lhs != rhs:
-            rep.failures.append(
-                f"associativity at {vx.fmt(a)},{vx.fmt(b)},{vx.fmt(c)}"
-            )
-            if len(rep.failures) > 20:
-                break
-    return rep
+def suite_kzero(n, rng):
+    return _report(
+        "kzero", n,
+        ck.local_lemma_failures(n),
+        ck.single_letter_failures(n),
+        ck.associativity_failures(n, ck.assoc_triples(n, rng)),
+    )
 
 
 def suite_bimodule(n, rng):
-    rep = SuiteReport("bimodule", n)
-    rep.failures = bm.verify_bimodule(n, seed=rng.randrange(1 << 30))
-    rep.checks = (1 << (n + 1)) ** 2 if n <= 3 else 200
-    # categorified product: k0 of each T equals the specialized product
-    cap = min(n, 4)
-    for x in vx.all_vertices(cap):
-        for y in vx.all_vertices(cap):
-            rep.checks += 1
-            tp = bm.t_pair(cap, x, y)
-            if cx.k0_class(tp.complex) != kz.mult_mono(cap, x, y):
-                rep.failures.append(f"k0(T{vx.fmt_pair((x, y))}) != m")
-    return rep
+    axioms = bm.verify_bimodule(n, seed=rng.randrange(1 << 30))
+    checks = (1 << (n + 1)) ** 2 if n <= 3 else 200
+    return _report("bimodule", n, (axioms, checks), ck.t_pair_k0_failures(min(n, 4)))
 
 
 def suite_catun(n, rng):
-    rep = SuiteReport("catun", n)
-    rep.failures.extend(cu.ee_shape_check(n))
-    rep.checks += 2
-    for letter in ("E", "F"):
-        rep.checks += 1
-        c = cu.letter_complex(n, letter)
-        if cx.k0_class(c) != kz.iota_letter(n, letter):
-            rep.failures.append(f"k0 of {letter}")
-        rep.failures.extend(
-            f"{letter}: {msg}" for msg in cu.unit_law_check(n, c)
-        )
-        rep.checks += 2
-    letters = ("E", "F", "Q", "Qinv")
-    words = [(l,) for l in letters]
-    words += [(a, b) for a in letters for b in letters]
-    words += [(a, b, c) for a in letters for b in letters for c in letters]
-    for w in words:
-        for tree in cu._all_trees(0, len(w)):
-            rep.checks += 1
-            word = cu.Word(w, tree if len(w) > 1 else None)
-            lifted = cu.lift_word(n, word)
-            ok, witness = cx.verify_mc(lifted)
-            if not ok:
-                rep.failures.append(f"lift of {''.join(w)}: {witness}")
-            want = _fold_m(n, w, tree)
-            if cx.k0_class(lifted) != want:
-                rep.failures.append(f"k0 of lift of {''.join(w)} assoc {tree}")
-        if rep.failures and len(rep.failures) > 20:
-            break
-    return rep
-
-
-def _fold_m(n, letters, tree):
-    if isinstance(tree, int):
-        return kz.iota_letter(n, letters[tree])
-    left, right = tree
-    return kz.mult(n, _fold_m(n, letters, left), _fold_m(n, letters, right))
+    return _report(
+        "catun", n,
+        (cu.ee_shape_check(n), 2),
+        ck.letter_failures(n),
+        ck.word_lift_failures(n),
+    )
 
 
 SUITES = {

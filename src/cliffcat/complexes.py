@@ -235,7 +235,7 @@ def delta_square(c):
     return {key: e for key, e in out.items() if e}
 
 
-def verify_mc(c, check_square=True):
+def verify_mc(c):
     """Validity of a twisted complex; returns (ok, witness-or-None)."""
     ops = c.ops
     for (j, i), e in c.delta.items():
@@ -252,14 +252,13 @@ def verify_mc(c, check_square=True):
             return False, f"entry ({j},{i}) violates the cohomological contract"
         if qd != sj.qshift - si.qshift:
             return False, f"entry ({j},{i}) violates the q contract"
-    if check_square:
-        sq = delta_square(c)
-        if sq:
-            (j, i), e = sorted(sq.items())[0]
-            return False, (
-                f"d(delta)+delta^2 nonzero at ({j},{i}): "
-                + " + ".join(sorted(c.ops.fmt_mono(m) for m in e))
-            )
+    sq = delta_square(c)
+    if sq:
+        (j, i), e = sorted(sq.items())[0]
+        return False, (
+            f"d(delta)+delta^2 nonzero at ({j},{i}): "
+            + " + ".join(sorted(c.ops.fmt_mono(m) for m in e))
+        )
     return True, None
 
 
@@ -342,7 +341,8 @@ def cone(f):
         delta[(j, off + i)] = delta.get((j, off + i), frozenset()) ^ e
     out = ProjComplex(f.source.ops, summands, delta)
     ok, witness = verify_mc(out)
-    assert ok, witness
+    if not ok:
+        raise AssertionError(f"cone of a closed map is invalid: {witness}")
     return out
 
 
@@ -393,11 +393,15 @@ def tensor_f2(m, nc):
             delta[key] = delta.get(key, frozenset()) ^ entry
     out = ProjComplex(ops, summands, delta)
     ok, witness = verify_mc(out)
-    assert ok, witness
+    if not ok:
+        raise AssertionError(f"tensor over F2 produced an invalid complex: {witness}")
     return out
 
 
-def lift_to_box(c, max_rounds=10):
+MAX_LIFT_ROUNDS = 10
+
+
+def lift_to_box(c):
     """Lift a tensor-square complex to the DG thickening.
 
     Entries are lifted through the side-generator section; diagonal-generator
@@ -405,7 +409,8 @@ def lift_to_box(c, max_rounds=10):
     round until the validity condition holds.  Raises LiftError if some
     residual entry is not a boundary in its Hom-space.
     """
-    assert c.ops.tag == "RR"
+    if c.ops.tag != "RR":
+        raise AssertionError(f"lift_to_box needs a tensor-square complex, got {c.ops.tag}")
     n = c.ops.n
     ops = BoxAlgebraOps(n)
     alg = ops.algebra
@@ -413,7 +418,7 @@ def lift_to_box(c, max_rounds=10):
     for (j, i), e in c.delta.items():
         delta[(j, i)] = frozenset(alg.section_rr(mo) for mo in e)
     out = ProjComplex(ops, c.summands, delta)
-    for _ in range(max_rounds):
+    for _ in range(MAX_LIFT_ROUNDS):
         residual = delta_square(out)
         if not residual:
             break

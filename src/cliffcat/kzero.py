@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .laurent import LaurentZ, LaurentZH
+from .laurent import LaurentZ, LaurentZH, format_sum
 from . import vertices as vx
 
 
@@ -111,12 +111,6 @@ def higher_mult(n, x, y):
         cur = out.get(mon, LaurentZH())
         out[mon] = cur + LaurentZH.monomial(e, k)
     return {v: c for v, c in out.items() if c}
-
-
-def beta(n, s):
-    if not 0 <= s <= n - 1:
-        raise ValueError(f"s={s} out of range [0, {n - 1}]")
-    return {0: LaurentZH.monomial(2 * s + 1 - n, 0), vx.from_seq((s + 1, s)): LaurentZH.monomial(0, 1)}
 
 
 def higher_mult_kh(n, a, b):
@@ -222,32 +216,22 @@ def iota_letter(n, letter):
     raise ValueError(f"unknown letter {letter!r}")
 
 
-def iota(n, word):
-    """Image of a word over {E, F, q, Qinv, One}, folded left to right."""
-    acc = kclass(0)
-    for letter in word:
-        acc = mult(n, acc, iota_letter(n, letter))
-    return acc
+def iota(n, letters, tree=None):
+    """Image of a word over {E, F, q, Qinv, One}, folded over an association
+    tree of leaf indices, or left to right when no tree is given."""
+    if tree is None:
+        acc = kclass(0)
+        for letter in letters:
+            acc = mult(n, acc, iota_letter(n, letter))
+        return acc
+    if isinstance(tree, int):
+        return iota_letter(n, letters[tree])
+    left, right = tree
+    return mult(n, iota(n, letters, left), iota(n, letters, right))
 
 
 def fmt_kclass(a):
-    if not a:
-        return "0"
-    parts = []
-    for v in sorted(a, key=vx.seq):
-        for exps, coeff in a[v].items():
-            if not isinstance(exps, tuple):
-                exps = (exps,)
-            factors = []
-            for name, e in zip(("q", "h"), exps):
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            if abs(coeff) != 1:
-                factors.insert(0, str(abs(coeff)))
-            factors.append(vx.fmt(v))
-            term = "*".join(factors)
-            parts.append("-" + term if coeff < 0 else term)
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return format_sum(
+        [(exps, c, vx.fmt(v)) for v in sorted(a, key=vx.seq) for exps, c in a[v].items()],
+        ("q", "h"),
+    )

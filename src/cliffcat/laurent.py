@@ -162,25 +162,26 @@ class LaurentZH:
 
 def format_laurent(items, names):
     """Render sorted (exponents, coeff) pairs as e.g. '-q^2*h + 3'."""
-    if not items:
+    return format_sum([(exps, coeff, None) for exps, coeff in items], names)
+
+
+def format_sum(terms, names):
+    """Render (exponents, coeff, basis label or None) terms as a signed sum,
+    e.g. '-q^2*h + 3' or 'q^-1*[] - [1,0]'."""
+    if not terms:
         return "0"
-    parts = []
-    for exps, coeff in items:
+    out = ""
+    for exps, coeff, label in terms:
         if not isinstance(exps, tuple):
             exps = (exps,)
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 0:
-                continue
-            factors.append(name if e == 1 else f"{name}^{e}")
-        mag = abs(coeff)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+        if label is not None:
+            factors.append(label)
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
         term = "*".join(factors)
-        if coeff < 0:
-            term = "-" + term
-        parts.append(term)
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
+        if not out:
+            out = "-" + term if coeff < 0 else term
+        else:
+            out += (" - " if coeff < 0 else " + ") + term
     return out

@@ -72,14 +72,15 @@ def mult_mono_r(n, m1, m2):
 
     Composable products never vanish: the relations only reorder pair
     insertions.  The composite Hom-space is therefore nonzero, which the
-    assert (and oracle_dim_r in tests) guards.
+    raise below (and oracle_dim_r in tests) guards.
     """
     x1, w1 = m1
     x2, w2 = m2
     if w1 != x2:
         return None
     out = basis_mon_r(n, x1, w2)
-    assert out is not None, (m1, m2)
+    if out is None:
+        raise AssertionError(f"composable product vanished: {m1} * {m2}")
     return out
 
 
@@ -125,10 +126,10 @@ def _paths(n, x, w):
 
 
 @lru_cache(maxsize=None)
-def oracle_dim_r(n, x, w, bound=ORACLE_BOUND):
+def oracle_dim_r(n, x, w):
     """dim e(x)*R*e(w) by enumerating paths modulo adjacent-swap relations."""
-    if n > bound:
-        raise ValueError(f"oracle bound {bound} exceeded for n={n}")
+    if n > ORACLE_BOUND:
+        raise ValueError(f"oracle bound {ORACLE_BOUND} exceeded for n={n}")
     paths = _paths(n, x, w)
     if not paths:
         return 0
@@ -152,10 +153,6 @@ def oracle_dim_r(n, x, w, bound=ORACLE_BOUND):
 
 # ---------------------------------------------------------------------------
 # tensor square: monomials are pairs of R monomials
-
-
-def mono_rr(left, right):
-    return (left, right)
 
 
 def mult_mono_rr(n, m1, m2):

@@ -12,13 +12,8 @@ import pytest
 
 from cliffcat import bimodule as bm
 from cliffcat import catun as cu
+from cliffcat import checks as ck
 from cliffcat import kzero as kz
-from cliffcat import quiver as qv
-from cliffcat import ralgebra as ra
-from cliffcat import vertices as vx
-import cliffcat.complexes as cx
-from cliffcat.boxalgebra import box_algebra, path_target
-from cliffcat.laurent import LaurentZ, LaurentZH
 
 
 _CAPTURE = None
@@ -43,20 +38,7 @@ def report(num, label, failures, t0):
 
 def test_criterion_01_gamma2_structure():
     t0 = time.time()
-    failures = []
-    g = qv.build_gamma(2)
-    if len(g.vertices) != 8:
-        failures.append("vertex count")
-    comps = qv.components(g)
-    by_euler = {vx.euler(c[0]): sorted(vx.fmt(v) for v in c) for c in comps}
-    want = {
-        0: ["[1,0]", "[2,1]", "[]"],
-        1: ["[0]", "[2,1,0]", "[2]"],
-        -1: ["[1]"],
-        2: ["[2,0]"],
-    }
-    if by_euler != want:
-        failures.append(f"components {by_euler}")
+    failures, _ = ck.quiver_failures(2)
     report(1, "two-strand quiver structure", failures, t0)
 
 
@@ -71,47 +53,16 @@ def test_criterion_02_clifford_presentation():
 def test_criterion_03_associativity():
     t0 = time.time()
     failures = []
-
-    def check(n, a, b, c):
-        lhs = kz.mult(n, kz.mult_mono(n, a, b), kz.kclass(c))
-        rhs = kz.mult(n, kz.kclass(a), kz.mult_mono(n, b, c))
-        if lhs != rhs:
-            failures.append(f"n={n} {vx.fmt(a)},{vx.fmt(b)},{vx.fmt(c)}")
-
-    for n in (1, 2, 3):
-        for a in vx.all_vertices(n):
-            for b in vx.all_vertices(n):
-                for c in vx.all_vertices(n):
-                    check(n, a, b, c)
-    for n in (4, 5):
-        rng = random.Random(n)
-        mask = (1 << (n + 1)) - 1
-        for _ in range(100000):
-            check(n, rng.randint(0, mask), rng.randint(0, mask), rng.randint(0, mask))
+    for n in (1, 2, 3, 4, 5):
+        failures += ck.associativity_failures(n, ck.assoc_triples(n, random.Random(n)))[0]
     report(3, "associativity of the specialized product", failures, t0)
 
 
 def test_criterion_04_local_lemmas():
     t0 = time.time()
     failures = []
-    one = LaurentZH.unit()
-    h = LaurentZH.monomial(0, 1)
     for n in range(1, 6):
-        for s in range(n):
-            a, b = 1 << s, 1 << (s + 1)
-            lhs = kz.higher_mult_kh(n, {a: one}, kz.higher_mult(n, a, b))
-            if lhs != {a: (one + h) * LaurentZH.monomial(2 * s + 1 - n, 0)}:
-                failures.append(f"case(1) n={n} s={s}")
-            if kz.higher_mult_kh(n, kz.higher_mult(n, a, a), {b: one}):
-                failures.append(f"case(1) rhs n={n} s={s}")
-            if any(c.specialize_h(-1) for c in lhs.values()):
-                failures.append(f"case(1) specialization n={n} s={s}")
-        for s in range(1, n):
-            a, b, c = 1 << (s - 1), 1 << s, 1 << (s + 1)
-            lhs = kz.higher_mult_kh(n, {a: one}, kz.higher_mult(n, b, c))
-            rhs = kz.higher_mult_kh(n, kz.higher_mult(n, a, b), {c: one})
-            if lhs != rhs:
-                failures.append(f"case(3) n={n} s={s}")
+        failures += ck.local_lemma_failures(n)[0]
     report(4, "local associativity lemmas, symbolic", failures, t0)
 
 
@@ -119,14 +70,7 @@ def test_criterion_05_dg_differential():
     t0 = time.time()
     failures = []
     for n in (1, 2, 3):
-        alg = box_algebra(n)
-        for m in alg.all_monomials():
-            if alg.diff(alg.diff_mono(m)):
-                failures.append(f"d^2 n={n}")
-            cd, qd = alg.cohdeg(m[1]), alg.qdeg(m[1])
-            for dm in alg.diff_mono(m):
-                if alg.cohdeg(dm[1]) != cd + 1 or alg.qdeg(dm[1]) != qd:
-                    failures.append(f"bidegree n={n}")
+        failures += ck.box_dg_failures(n)[0]
     report(5, "thickened algebra differential squares to zero", failures, t0)
 
 
@@ -134,28 +78,7 @@ def test_criterion_06_formality():
     t0 = time.time()
     failures = []
     for n in (1, 2, 3):
-        alg = box_algebra(n)
-        monos = list(alg.all_monomials())
-        for x1 in vx.all_vertices(n):
-            for y1 in vx.all_vertices(n):
-                for x2 in vx.all_vertices(n):
-                    for y2 in vx.all_vertices(n):
-                        dims = alg.cohomology_dims((x1, y1), (x2, y2))
-                        want = ra.dim_rr(n, (x1, y1), (x2, y2))
-                        if dims != ({0: want} if want else {}):
-                            failures.append(f"cohomology n={n}")
-        by_source = {}
-        for m in monos:
-            by_source.setdefault(m[0], []).append(m)
-        for m1 in monos:
-            for m2 in by_source.get(path_target(m1[0], m1[1]), []):
-                p = alg.mult_mono(m1, m2)
-                lhs = alg.h_map(frozenset([p]))
-                rhs = ra.mult_rr(
-                    n, alg.h_map(frozenset([m1])), alg.h_map(frozenset([m2]))
-                )
-                if lhs != rhs:
-                    failures.append(f"H mult n={n}")
+        failures += ck.box_formality_failures(n)[0]
     report(6, "formality and multiplicative comparison map", failures, t0)
 
 
@@ -172,39 +95,16 @@ def test_criterion_08_k0_of_t_is_m():
     t0 = time.time()
     failures = []
     for n in (1, 2, 3, 4):
-        for x in vx.all_vertices(n):
-            for y in vx.all_vertices(n):
-                tp = bm.t_pair(n, x, y)
-                if cx.k0_class(tp.complex) != kz.mult_mono(n, x, y):
-                    failures.append(f"n={n} {vx.fmt_pair((x, y))}")
+        failures += ck.t_pair_k0_failures(n)[0]
     report(8, "K0 of every per-pair complex equals the product", failures, t0)
 
 
 def test_criterion_09_word_liftings():
     t0 = time.time()
     failures = []
-    letters = ("E", "F", "Q", "Qinv")
-    words = [(a,) for a in letters]
-    words += [(a, b) for a in letters for b in letters]
-    words += [(a, b, c) for a in letters for b in letters for c in letters]
     for n in (1, 2, 3):
-        for w in words:
-            for tree in cu._all_trees(0, len(w)):
-                word = cu.Word(w, tree if len(w) > 1 else None)
-                lifted = cu.lift_word(n, word)
-                ok, witness = cx.verify_mc(lifted)
-                if not ok:
-                    failures.append(f"n={n} {''.join(w)}: {witness}")
-                if cx.k0_class(lifted) != _fold(n, w, tree):
-                    failures.append(f"n={n} {''.join(w)} assoc {tree}: k0")
+        failures += ck.word_lift_failures(n)[0]
     report(9, "word liftings multiply on K0, all associations", failures, t0)
-
-
-def _fold(n, letters, tree):
-    if isinstance(tree, int):
-        return kz.iota_letter(n, letters[tree])
-    left, right = tree
-    return kz.mult(n, _fold(n, letters, left), _fold(n, letters, right))
 
 
 def test_criterion_10_squared_generator_shape():
@@ -212,11 +112,6 @@ def test_criterion_10_squared_generator_shape():
     failures = []
     for n in range(1, 6):
         failures += cu.ee_shape_check(n)
-        c = cu.lift_word(n, cu.Word(("E", "E")))
-        if cx.k0_class(c):
-            failures.append(f"n={n}: k0 of EE not zero")
-        if n >= 2 and not c.summands:
-            failures.append(f"n={n}: EE unexpectedly zero")
     report(10, "squared-generator complexes split with zero differential", failures, t0)
 
 
@@ -224,20 +119,5 @@ def test_criterion_11_oracle_equivalence():
     t0 = time.time()
     failures = []
     for n in (1, 2, 3, 4):
-        for x in vx.all_vertices(n):
-            for w in vx.all_vertices(n):
-                d = 0 if ra.basis_mon_r(n, x, w) is None else 1
-                if d != ra.oracle_dim_r(n, x, w):
-                    failures.append(f"dim n={n} {vx.fmt(x)}->{vx.fmt(w)}")
-        for x in vx.all_vertices(n):
-            for w in vx.all_vertices(n):
-                if ra.basis_mon_r(n, x, w) is None:
-                    continue
-                for v in vx.all_vertices(n):
-                    if ra.basis_mon_r(n, w, v) is None:
-                        continue
-                    if ra.mult_mono_r(n, (x, w), (w, v)) != (x, v):
-                        failures.append(f"mult n={n}")
-                    if ra.oracle_dim_r(n, x, v) != 1:
-                        failures.append(f"oracle mult n={n}")
+        failures += ck.oracle_failures(n)[0]
     report(11, "normal form agrees with the path-engine oracle", failures, t0)

@@ -1,8 +1,9 @@
 import json
+import random
 
-import pytest
-
+from cliffcat import checks as ck
 from cliffcat import cli
+from cliffcat import kzero as kz
 
 
 def run(capsys, *argv):
@@ -79,6 +80,37 @@ def test_verify_quiver_json(capsys):
     assert code == 0
     (rep,) = json.loads(out)
     assert rep["failures"] == [] and rep["checks"] > 0
+
+
+def test_verify_all_counts(capsys):
+    # every suite passes with exactly these check counts; a count may only
+    # rise, when a check is added
+    code, out = run(capsys, "verify", "--suite", "all", "--n", "3", "--json")
+    assert code == 0
+    reports = json.loads(out)
+    assert all(r["failures"] == [] for r in reports)
+    assert {r["suite"]: r["checks"] for r in reports} == {
+        "quiver": 18, "algebra": 300, "box": 68585, "clifford": 1013,
+        "kzero": 4126, "bimodule": 512, "catun": 156,
+    }
+
+
+def test_broken_product_is_reported(monkeypatch):
+    # a wrong vertex product for one pair shows in the CLI suite and in the
+    # shared check alike, each with the failing triple as witness
+    real = kz.mult_mono
+
+    def broken(n, x, y):
+        out = real(n, x, y)
+        if (n, x, y) == (2, 0b001, 0b010):
+            out = kz.kclass_add(out, kz.kclass(0))
+        return out
+
+    monkeypatch.setattr(kz, "mult_mono", broken)
+    witness = "n=2: associativity at [0],[1],[2]"
+    assert witness in cli.run_suite("kzero", 2, 0).failures
+    failures, _ = ck.associativity_failures(2, ck.assoc_triples(2, random.Random(0)))
+    assert witness in failures
 
 
 def test_verify_caps_n(capsys):

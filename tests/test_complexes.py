@@ -1,9 +1,13 @@
 """Twisted complexes: validity, cones, K0, tensoring, and the diagonal lift."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cliffcat
 from cliffcat import kzero as kz
 from cliffcat import ralgebra as ra
 from cliffcat import vertices as vx
@@ -124,6 +128,22 @@ def test_lift_of_tensor_is_valid():
     alg = lifted.ops.algebra
     for key, e in t.delta.items():
         assert alg.h_map(lifted.delta[key]) == e
+
+
+@pytest.mark.parametrize("call", [
+    "cx.lift_to_box(cx.projective(cx.RAlgebraOps(2), 0))",
+    "bm.tensor_T(cx.projective(cx.RAlgebraOps(2), 0))",
+])
+def test_invariant_guards_survive_optimize(call):
+    # python -O strips assert statements; the guards must raise regardless
+    src = os.path.dirname(os.path.dirname(cliffcat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = f"import cliffcat.complexes as cx, cliffcat.bimodule as bm\n{call}"
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1].startswith("AssertionError")
 
 
 def test_lift_section_property():
