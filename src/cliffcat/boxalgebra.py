@@ -2,11 +2,17 @@
 
 All relations identify one length-2 path with another, so the quotient of
 the boxed-quiver path algebra has the equivalence classes of paths as an F2
-basis.  Classes are computed by a union-find closure over adjacent-arrow
-swaps; the swap of a left-side insertion at s with a right-side insertion at
-s+1 is excluded (that anticommutator is the differential of the diagonal
-generator, not zero).  The normal form of a class is its lexicographically
-least path under the arrow ordering X < Y < D, then by s.
+basis.  The relations let adjacent arrows commute, except a left-side
+insertion at s against a right-side insertion at s+1 (that anticommutator is
+the differential of the diagonal generator, not zero).
+
+Along a valid path bits are only ever set, so the footprints of its arrows
+are pairwise disjoint and every reordering is again a valid path.  A class
+out of a source is therefore a set of arrows with disjoint footprints, plus
+an order of each X_s/Y_{s+1} pair in it: an element of a trace monoid whose
+only dependencies are those pairs.  Its normal form is the lexicographically
+least path under the arrow ordering X < Y < D, then by s, which is the lex
+normal form of the trace (Cartier and Foata 1969; Anisimov and Knuth 1979).
 
 A monomial is (source_pair, arrows) with arrows a tuple of (kind, s).
 """
@@ -19,8 +25,6 @@ from . import gf2
 from . import ralgebra as ra
 from . import vertices as vx
 from .quiver import DIAG, XSIDE, YSIDE, arrow_cohdeg, arrow_qdeg, box_arrow_targets, pair_mask
-
-BOX_BOUND = 5
 
 _KIND_RANK = {XSIDE: 0, YSIDE: 1, DIAG: 2}
 
@@ -54,37 +58,34 @@ def path_target(source, arrows):
     return v
 
 
-def path_valid(source, arrows):
-    return path_target(source, arrows) is not None
+@lru_cache(maxsize=None)
+def canonical(arrows):
+    """Least path in the class of a valid path.
 
-
-def _swappable(a1, a2):
-    """May adjacent arrows a1, a2 be exchanged (validity checked separately)?
-
-    The only excluded exchange is an X insertion at s against a Y insertion
-    at s+1, in either order.
+    The arrows sort by X < Y < D, then by s, except that an X_s which comes
+    after Y_{s+1} stays right behind it.
     """
-    k1, s1 = a1
-    k2, s2 = a2
-    if k1 == XSIDE and k2 == YSIDE and s2 == s1 + 1:
-        return False
-    if k1 == YSIDE and k2 == XSIDE and s1 == s2 + 1:
-        return False
-    return True
+    keyed = []
+    seen_y = set()
+    for kind, s in arrows:
+        if kind == XSIDE and s + 1 in seen_y:
+            keyed.append(((_KIND_RANK[YSIDE], s + 1, 1), (kind, s)))
+        else:
+            keyed.append(((_KIND_RANK[kind], s, 0), (kind, s)))
+        if kind == YSIDE:
+            seen_y.add(s)
+    return tuple(arrow for _, arrow in sorted(keyed))
 
 
 class BoxAlgebra:
     """Path-quotient realization for one value of n.
 
-    Classes are built lazily per source vertex: a full build at n=5 takes a
-    minute, while typical complexes touch only a few sources.
+    Classes are built lazily per source vertex, since typical complexes touch
+    only a few sources.
     """
 
     def __init__(self, n):
-        if n > BOX_BOUND:
-            raise ValueError(f"box algebra bound {BOX_BOUND} exceeded for n={n}")
         self.n = n
-        self._normal = {}  # (source, arrows) -> canonical arrows
         self._classes = {}  # (source, target) -> [canonical arrows]
         self._built = set()
 
@@ -100,52 +101,30 @@ class BoxAlgebra:
         return self
 
     def _build_from(self, source):
-        # enumerate all paths out of source
-        paths = []
-        stack = [((), source)]
+        # every set of arrows out of source with disjoint footprints, listed
+        # in path_key order, paired with its target
+        arrows = [(kind, s) for kind, s, _ in box_arrow_targets(self.n, source)]
+        by_target = {}
+        stack = [(0, source, ())]
         while stack:
-            arrows, at = stack.pop()
-            paths.append(arrows)
-            for kind, s, tgt in box_arrow_targets(self.n, at):
-                stack.append((arrows + ((kind, s),), tgt))
-        index = {p: i for i, p in enumerate(paths)}
-        parent = list(range(len(paths)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for p, i in index.items():
-            for k in range(len(p) - 1):
-                if not _swappable(p[k], p[k + 1]):
-                    continue
-                swapped = p[:k] + (p[k + 1], p[k]) + p[k + 2 :]
-                j = index.get(swapped)
-                if j is not None and path_valid(source, swapped):
-                    parent[find(i)] = find(j)
-        groups = {}
-        for p, i in index.items():
-            groups.setdefault(find(i), []).append(p)
-        for members in groups.values():
-            canon = min(members, key=path_key)
-            tgt = path_target(source, canon)
-            for p in members:
-                self._normal[(source, p)] = canon
-            self._classes.setdefault((source, tgt), []).append(canon)
-        for key in self._classes:
-            self._classes[key].sort(key=path_key)
+            i, at, chosen = stack.pop()
+            if i == len(arrows):
+                by_target.setdefault(at, []).extend(_orders(chosen))
+                continue
+            stack.append((i + 1, at, chosen))
+            nxt = apply_arrow(at, *arrows[i])
+            if nxt is not None:
+                stack.append((i + 1, nxt, chosen + (arrows[i],)))
+        for target, reps in by_target.items():
+            self._classes[(source, target)] = sorted(reps, key=path_key)
 
     # -- basis access -------------------------------------------------------
 
     def normal_form(self, source, arrows):
         """Canonical representative of a path; None for an invalid path."""
-        self._ensure(source)
-        canon = self._normal.get((source, arrows))
-        if canon is None and path_valid(source, arrows):
-            raise KeyError((source, arrows))
-        return canon
+        if path_target(source, arrows) is None:
+            return None
+        return canonical(arrows)
 
     def hom_basis(self, source, target, cohdeg=None):
         self._ensure(source)
@@ -270,6 +249,17 @@ class BoxAlgebra:
         arrows += tuple((YSIDE, s) for s in ra.forced_pairs(y1, y2))
         source = (x1, y1)
         return (source, self.normal_form(source, arrows))
+
+
+def _orders(chosen):
+    """The canonical paths of every order of an arrow set in path_key order:
+    each X_s/Y_{s+1} pair in it goes either way round."""
+    pairs = [(XSIDE, s) for kind, s in chosen if kind == XSIDE and (YSIDE, s + 1) in chosen]
+    out = []
+    for late in range(1 << len(pairs)):
+        moved = tuple(a for i, a in enumerate(pairs) if late >> i & 1)
+        out.append(canonical(tuple(a for a in chosen if a not in moved) + moved))
+    return out
 
 
 @lru_cache(maxsize=None)

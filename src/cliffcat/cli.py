@@ -76,7 +76,7 @@ def suite_box(n, rng):
 
 
 def suite_clifford(n, rng):
-    checks = (n + 1) + (n + 1) * n // 2 + n + CLIFFORD_SAMPLES
+    checks = (n + 1) + n * (n - 1) // 2 + n + CLIFFORD_SAMPLES
     return _report("clifford", n, (kz.clifford_check(n, rng, CLIFFORD_SAMPLES), checks))
 
 
@@ -92,7 +92,7 @@ def suite_kzero(n, rng):
 def suite_bimodule(n, rng):
     axioms = bm.verify_bimodule(n, seed=rng.randrange(1 << 30))
     checks = (1 << (n + 1)) ** 2 if n <= 3 else 200
-    return _report("bimodule", n, (axioms, checks), ck.t_pair_k0_failures(min(n, 4)))
+    return _report("bimodule", n, (axioms, checks), ck.t_pair_k0_failures(n))
 
 
 def suite_catun(n, rng):

@@ -16,6 +16,7 @@ from . import ralgebra as ra
 from . import vertices as vx
 from .boxalgebra import box_algebra
 from .laurent import LaurentZ
+from .quiver import DIAG, XSIDE, YSIDE
 
 
 class LiftError(Exception):
@@ -157,7 +158,13 @@ class BoxAlgebraOps:
     def mono_from_json(self, data):
         source = (vx.from_seq(data["source"][0]), vx.from_seq(data["source"][1]))
         arrows = tuple((kind, int(s)) for kind, s in data["arrows"])
-        return (source, self.algebra.normal_form(source, arrows))
+        for kind, s in arrows:
+            if kind not in (XSIDE, YSIDE, DIAG) or not 0 <= s < self.n - (kind == DIAG):
+                raise ValueError(f"no Box arrow {kind}{s} at n={self.n}")
+        canon = self.algebra.normal_form(source, arrows)
+        if canon is None:
+            raise ValueError(f"{self.fmt_mono((source, arrows))} is not a Box path")
+        return (source, canon)
 
     def vertex_json(self, v):
         return [list(vx.seq(v[0])), list(vx.seq(v[1]))]

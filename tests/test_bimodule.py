@@ -85,26 +85,6 @@ def test_leibniz_negative_control():
     assert defect.entries
 
 
-def test_relation_compatibility_n2():
-    from cliffcat.boxalgebra import _swappable, apply_arrow
-
-    n = 2
-    for x in vx.all_vertices(n):
-        for y in vx.all_vertices(n):
-            xy = (x, y)
-            for k1, s1 in bm._generators_out(n, xy):
-                mid = apply_arrow(xy, k1, s1)
-                for k2, s2 in bm._generators_out(n, mid):
-                    if not _swappable((k1, s1), (k2, s2)):
-                        continue
-                    mid2 = apply_arrow(xy, k2, s2)
-                    if mid2 is None or apply_arrow(mid2, k1, s1) is None:
-                        continue
-                    one = bm.act_path(n, xy, ((k1, s1), (k2, s2)))
-                    two = bm.act_path(n, xy, ((k2, s2), (k1, s1)))
-                    assert one.entries == two.entries
-
-
 def test_verify_bimodule_small():
     assert bm.verify_bimodule(1) == []
     assert bm.verify_bimodule(2) == []

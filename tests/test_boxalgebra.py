@@ -2,9 +2,11 @@
 
 import pytest
 
+from cliffcat import cli
 from cliffcat import ralgebra as ra
 from cliffcat import vertices as vx
-from cliffcat.boxalgebra import BoxAlgebra, box_algebra, path_target
+from cliffcat.boxalgebra import BoxAlgebra, box_algebra, path_key, path_target
+from cliffcat.quiver import XSIDE, YSIDE, box_arrow_targets
 
 
 @pytest.fixture(scope="module")
@@ -14,9 +16,91 @@ def alg2():
     return a
 
 
-def test_bound_guard():
-    with pytest.raises(ValueError):
-        BoxAlgebra(6)
+# -- oracle: path enumeration and union-find over adjacent swaps -------------
+
+
+def _swappable(a1, a2):
+    """May adjacent arrows a1, a2 be exchanged (validity checked separately)?
+
+    The only excluded exchange is an X insertion at s against a Y insertion
+    at s+1, in either order.
+    """
+    k1, s1 = a1
+    k2, s2 = a2
+    if k1 == XSIDE and k2 == YSIDE and s2 == s1 + 1:
+        return False
+    if k1 == YSIDE and k2 == XSIDE and s1 == s2 + 1:
+        return False
+    return True
+
+
+def oracle_classes(n, source):
+    """{target: [class]} with each class the list of its paths, by brute force."""
+    # enumerate all paths out of source
+    paths = []
+    stack = [((), source)]
+    while stack:
+        arrows, at = stack.pop()
+        paths.append(arrows)
+        for kind, s, tgt in box_arrow_targets(n, at):
+            stack.append((arrows + ((kind, s),), tgt))
+    index = {p: i for i, p in enumerate(paths)}
+    parent = list(range(len(paths)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for p, i in index.items():
+        for k in range(len(p) - 1):
+            if not _swappable(p[k], p[k + 1]):
+                continue
+            swapped = p[:k] + (p[k + 1], p[k]) + p[k + 2 :]
+            j = index.get(swapped)
+            if j is not None and path_target(source, swapped) is not None:
+                parent[find(i)] = find(j)
+    groups = {}
+    for p, i in index.items():
+        groups.setdefault(find(i), []).append(p)
+    by_target = {}
+    for members in groups.values():
+        by_target.setdefault(path_target(source, members[0]), []).append(members)
+    return by_target
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_matches_oracle(n):
+    alg = BoxAlgebra(n)
+    for x in vx.all_vertices(n):
+        for y in vx.all_vertices(n):
+            source = (x, y)
+            oracle = oracle_classes(n, source)
+            alg._ensure(source)
+            assert {t for s, t in alg._classes if s == source} == set(oracle)
+            for target, classes in oracle.items():
+                mins = [min(members, key=path_key) for members in classes]
+                assert alg.hom_basis(source, target) == sorted(mins, key=path_key)
+                for members, least in zip(classes, mins):
+                    for p in members:
+                        assert alg.normal_form(source, p) == least, (source, p)
+
+
+def test_reach_n6():
+    # past the reach of path enumeration: every target from the empty pair
+    n = 6
+    alg = BoxAlgebra(n)
+    verts = list(vx.all_vertices(n))
+    for x in verts:
+        for y in verts:
+            want = ra.dim_rr(n, (0, 0), (x, y))
+            assert alg.cohomology_dims((0, 0), (x, y)) == ({0: want} if want else {})
+
+
+def test_lift_n6(capsys):
+    assert cli.main(["lift", "--n", "6", "--word", "EFE"]) == 0
+    assert "k0 =" in capsys.readouterr().out
 
 
 def test_d_squared_zero(alg2):

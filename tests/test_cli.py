@@ -90,7 +90,7 @@ def test_verify_all_counts(capsys):
     reports = json.loads(out)
     assert all(r["failures"] == [] for r in reports)
     assert {r["suite"]: r["checks"] for r in reports} == {
-        "quiver": 18, "algebra": 300, "box": 68585, "clifford": 1013,
+        "quiver": 18, "algebra": 300, "box": 68585, "clifford": 1010,
         "kzero": 4126, "bimodule": 512, "catun": 156,
     }
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import cliffcat
+from cliffcat import cli
 from cliffcat import kzero as kz
 from cliffcat import ralgebra as ra
 from cliffcat import vertices as vx
@@ -181,3 +182,19 @@ def test_json_round_trip_all_tags():
         assert back.summands == c.summands
         assert back.delta == c.delta
         assert back.ops.tag == c.ops.tag
+
+
+@pytest.mark.parametrize("arrows, message", [
+    ([["X", 0], ["X", 0]], "error: r(([],[]);X0.X0) is not a Box path"),
+    ([["Z", 0]], "error: no Box arrow Z0 at n=2"),
+    ([["X", 5]], "error: no Box arrow X5 at n=2"),
+])
+def test_bad_box_monomial_is_usage_error(tmp_path, capsys, arrows, message):
+    lifted = cx.lift_to_box(cx.tensor_f2(two_step(), two_step()))
+    data = cx.complex_to_json(lifted)
+    data["delta"][0]["monomials"][0]["arrows"] = arrows
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["complex", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(message)
