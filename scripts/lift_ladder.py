@@ -1,0 +1,30 @@
+#!/usr/bin/env python3
+"""Print the word-lift ladder: the lift of EF repeated k times, n = 3..5.
+
+Each row gives n, k, the summands and differential entries of the lifted
+complex, and the wall time of the lift.  Rows run in one process in the
+order printed, so a row reuses the caches (T(x, y), box classes, right
+actions) that earlier rows at the same n filled.
+
+Usage: PYTHONPATH=src python scripts/lift_ladder.py
+"""
+
+import sys
+import time
+
+from cliffcat import catun as cu
+
+
+def main():
+    print(f"{'n':>2} {'k':>2} {'summands':>9} {'delta':>9} {'seconds':>8}")
+    for n in range(3, 6):
+        for k in range(1, 5):
+            t0 = time.perf_counter()
+            c = cu.lift_word(n, cu.parse_word("EF" * k))
+            secs = time.perf_counter() - t0
+            print(f"{n:>2} {k:>2} {len(c.summands):>9} {len(c.delta):>9} {secs:>8.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

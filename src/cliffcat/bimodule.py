@@ -20,6 +20,7 @@ from functools import lru_cache
 from . import kzero as kz
 from . import ralgebra as ra
 from . import vertices as vx
+from .boxalgebra import apply_arrow, canonical
 from .complexes import (
     ChainMap,
     ProjComplex,
@@ -28,7 +29,7 @@ from .complexes import (
     chain_map_defect,
     verify_mc,
 )
-from .quiver import DIAG, XSIDE, YSIDE, arrow_cohdeg, arrow_qdeg, pair_mask
+from .quiver import DIAG, XSIDE, YSIDE, arrow_cohdeg, arrow_qdeg, box_arrow_targets, pair_mask
 
 
 @dataclass
@@ -169,10 +170,13 @@ def add_chainmaps(f, g):
     return ChainMap(f.source, f.target, {k: e for k, e in out.items() if e})
 
 
+@lru_cache(maxsize=None)
 def act_path(n, source_pair, arrows):
-    """Chain map of a boxed path, composed factor by factor."""
-    from .boxalgebra import apply_arrow
+    """Chain map of a boxed path, composed factor by factor.
 
+    Memoized on (n, source_pair, arrows): callers must not mutate the
+    returned ChainMap (add_chainmaps and compose_chainmaps build new ones).
+    """
     chain = identity_chainmap(t_pair(n, *source_pair))
     at = source_pair
     for kind, s in arrows:
@@ -197,8 +201,6 @@ def act_element(n, elem):
 
 
 def _generators_out(n, xy):
-    from .quiver import box_arrow_targets
-
     return [(kind, s) for kind, s, _ in box_arrow_targets(n, xy)]
 
 
@@ -221,8 +223,6 @@ def leibniz_defect(n, xy, kind, t):
 
 
 def _check_pair(n, xy, failures):
-    from .boxalgebra import apply_arrow, canonical
-
     ok, witness = verify_mc(t_pair(n, *xy).complex)
     if not ok:
         failures.append(f"T{vx.fmt_pair(xy)}: {witness}")

@@ -27,11 +27,11 @@ from . import vertices as vx
 SUITE_BOUNDS = {
     "quiver": 5,
     "algebra": 4,
-    "box": 3,
+    "box": 4,
     "clifford": 5,
     "kzero": 5,
     "bimodule": 4,
-    "catun": 3,
+    "catun": 5,
 }
 
 

@@ -10,11 +10,12 @@ contract cohdeg(entry) + b_j - b_i = 1 and qdeg(entry) = a_j - a_i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import gf2
 from . import ralgebra as ra
 from . import vertices as vx
-from .boxalgebra import box_algebra
+from .boxalgebra import box_algebra, fmt_mono_box, path_target
 from .laurent import LaurentZ
 from .quiver import DIAG, XSIDE, YSIDE
 
@@ -58,13 +59,16 @@ class RAlgebraOps:
         return [list(vx.seq(m[0])), list(vx.seq(m[1]))]
 
     def mono_from_json(self, data):
-        return (vx.from_seq(data[0]), vx.from_seq(data[1]))
+        x, w = (vx.from_json(v, self.n) for v in _pair(data, "R monomial"))
+        if ra.basis_mon_r(self.n, x, w) is None:
+            raise ValueError(f"no R monomial {vx.fmt(x)} -> {vx.fmt(w)} at n={self.n}")
+        return (x, w)
 
     def vertex_json(self, v):
         return list(vx.seq(v))
 
     def vertex_from_json(self, data):
-        return vx.from_seq(data)
+        return vx.from_json(data, self.n)
 
     def fmt_mono(self, m):
         return ra.fmt_mono_r(m)
@@ -102,17 +106,14 @@ class RRAlgebraOps:
         return [[list(vx.seq(e)) for e in m[0]], [list(vx.seq(e)) for e in m[1]]]
 
     def mono_from_json(self, data):
-        left, right = data
-        return (
-            (vx.from_seq(left[0]), vx.from_seq(left[1])),
-            (vx.from_seq(right[0]), vx.from_seq(right[1])),
-        )
+        side = RAlgebraOps(self.n)
+        return tuple(side.mono_from_json(m) for m in _pair(data, "RR monomial"))
 
     def vertex_json(self, v):
         return [list(vx.seq(v[0])), list(vx.seq(v[1]))]
 
     def vertex_from_json(self, data):
-        return (vx.from_seq(data[0]), vx.from_seq(data[1]))
+        return _vertex_pair_from_json(data, self.n)
 
     def fmt_mono(self, m):
         return f"{ra.fmt_mono_r(m[0])}(x){ra.fmt_mono_r(m[1])}"
@@ -129,15 +130,13 @@ class BoxAlgebraOps:
         return m[0]
 
     def mono_target(self, m):
-        from .boxalgebra import path_target
-
         return path_target(m[0], m[1])
 
     def mono_qdeg(self, m):
-        return self.algebra.qdeg(m[1])
+        return _box_degrees(self.n, m[1])[0]
 
     def mono_cohdeg(self, m):
-        return self.algebra.cohdeg(m[1])
+        return _box_degrees(self.n, m[1])[1]
 
     def idempotent(self, v):
         return (v, ())
@@ -156,10 +155,12 @@ class BoxAlgebraOps:
         }
 
     def mono_from_json(self, data):
-        source = (vx.from_seq(data["source"][0]), vx.from_seq(data["source"][1]))
-        arrows = tuple((kind, int(s)) for kind, s in data["arrows"])
+        source = _vertex_pair_from_json(_field(data, "source", "Box monomial"), self.n)
+        listed = _list(_field(data, "arrows", "Box monomial"), "arrows")
+        arrows = tuple(tuple(_pair(a, "Box arrow")) for a in listed)
         for kind, s in arrows:
-            if kind not in (XSIDE, YSIDE, DIAG) or not 0 <= s < self.n - (kind == DIAG):
+            in_range = type(s) is int and 0 <= s < self.n - (kind == DIAG)
+            if kind not in (XSIDE, YSIDE, DIAG) or not in_range:
                 raise ValueError(f"no Box arrow {kind}{s} at n={self.n}")
         canon = self.algebra.normal_form(source, arrows)
         if canon is None:
@@ -170,16 +171,21 @@ class BoxAlgebraOps:
         return [list(vx.seq(v[0])), list(vx.seq(v[1]))]
 
     def vertex_from_json(self, data):
-        return (vx.from_seq(data[0]), vx.from_seq(data[1]))
+        return _vertex_pair_from_json(data, self.n)
 
     def fmt_mono(self, m):
-        from .boxalgebra import fmt_mono_box
-
         return fmt_mono_box(m)
 
 
-def ops_for(tag, n):
-    return {"R": RAlgebraOps, "RR": RRAlgebraOps, "Box": BoxAlgebraOps}[tag](n)
+@lru_cache(maxsize=None)
+def _box_degrees(n, arrows):
+    """(qdeg, cohdeg) of a boxed path.  The keys are the arrow tuples that
+    canonical has already cached, so the memo keeps no extra objects alive."""
+    alg = box_algebra(n)
+    return alg.qdeg(arrows), alg.cohdeg(arrows)
+
+
+_OPS = {"R": RAlgebraOps, "RR": RRAlgebraOps, "Box": BoxAlgebraOps}
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +248,32 @@ def delta_square(c):
     return {key: e for key, e in out.items() if e}
 
 
-def verify_mc(c):
-    """Validity of a twisted complex; returns (ok, witness-or-None)."""
+def contract_violation(c):
+    """The first entry out of range, off its endpoints or off the degree
+    contract, as a witness string; None if every entry keeps it."""
     ops = c.ops
     for (j, i), e in c.delta.items():
         if i >= len(c.summands) or j >= len(c.summands):
-            return False, f"entry ({j},{i}) out of range"
+            return f"entry ({j},{i}) out of range"
         si, sj = c.summands[i], c.summands[j]
         try:
             qd, cd, src, tgt = entry_degrees(ops, e)
         except ValueError as exc:
-            return False, str(exc)
+            return str(exc)
         if src != si.vertex or tgt != sj.vertex:
-            return False, f"entry ({j},{i}) endpoints do not match summands"
+            return f"entry ({j},{i}) endpoints do not match summands"
         if cd + sj.cohshift - si.cohshift != 1:
-            return False, f"entry ({j},{i}) violates the cohomological contract"
+            return f"entry ({j},{i}) violates the cohomological contract"
         if qd != sj.qshift - si.qshift:
-            return False, f"entry ({j},{i}) violates the q contract"
+            return f"entry ({j},{i}) violates the q contract"
+    return None
+
+
+def verify_mc(c):
+    """Validity of a twisted complex; returns (ok, witness-or-None)."""
+    witness = contract_violation(c)
+    if witness is not None:
+        return False, witness
     sq = delta_square(c)
     if sq:
         (j, i), e = sorted(sq.items())[0]
@@ -458,8 +473,9 @@ def lift_to_box(c):
         out = ProjComplex(ops, out.summands, new_delta)
     else:
         raise LiftError("diagonal correction search did not converge")
-    ok, witness = verify_mc(out)
-    if not ok:
+    # the loop left on delta_square(out) == {}, so only the contract is open
+    witness = contract_violation(out)
+    if witness is not None:
         raise LiftError(witness)
     return out
 
@@ -534,14 +550,65 @@ def complex_to_json(c):
     }
 
 
+# validating JSON decoders: every malformed field raises ValueError
+
+
+def _field(data, key, what):
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    if key not in data:
+        raise ValueError(f"{what} has no field {key!r}")
+    return data[key]
+
+
+def _list(data, what):
+    if not isinstance(data, list):
+        raise ValueError(f"{what} is not a list")
+    return data
+
+
+def _int(data, key, what):
+    value = _field(data, key, what)
+    if type(value) is not int:
+        raise ValueError(f"{what} field {key!r} is not an integer: {value!r}")
+    return value
+
+
+def _pair(data, what):
+    if not isinstance(data, list) or len(data) != 2:
+        raise ValueError(f"{what} {data!r} is not a pair")
+    return data
+
+
+def _vertex_pair_from_json(data, n):
+    x, y = _pair(data, "vertex pair")
+    return (vx.from_json(x, n), vx.from_json(y, n))
+
+
 def complex_from_json(data):
-    ops = ops_for(data["algebra"], int(data["n"]))
+    """Decode complex_to_json output; raises ValueError on any malformed field."""
+    tag = _field(data, "algebra", "complex")
+    if not isinstance(tag, str) or tag not in _OPS:
+        raise ValueError(f"unknown algebra {tag!r}")
+    n = _int(data, "n", "complex")
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    ops = _OPS[tag](n)
     summands = [
-        Summand(ops.vertex_from_json(s["vertex"]), int(s["qshift"]), int(s["cohshift"]))
-        for s in data["summands"]
+        Summand(
+            ops.vertex_from_json(_field(s, "vertex", "summand")),
+            _int(s, "qshift", "summand"),
+            _int(s, "cohshift", "summand"),
+        )
+        for s in _list(_field(data, "summands", "complex"), "summands")
     ]
     delta = {}
-    for item in data["delta"]:
-        entry = frozenset(ops.mono_from_json(m) for m in item["monomials"])
-        delta[(int(item["row"]), int(item["col"]))] = entry
+    for item in _list(_field(data, "delta", "complex"), "delta"):
+        key = (_int(item, "row", "delta entry"), _int(item, "col", "delta entry"))
+        if not all(0 <= k < len(summands) for k in key):
+            raise ValueError(f"delta entry {key} out of range for {len(summands)} summands")
+        if key in delta:
+            raise ValueError(f"delta entry {key} repeated")
+        monomials = _list(_field(item, "monomials", "delta entry"), "monomials")
+        delta[key] = frozenset(ops.mono_from_json(m) for m in monomials)
     return ProjComplex(ops, summands, delta)

@@ -14,26 +14,6 @@ def rank(rows):
     return len(pivots)
 
 
-def row_reduce(rows):
-    """Return reduced pivot rows (echelon basis of the span)."""
-    pivots = {}
-    for row in rows:
-        while row:
-            top = row.bit_length() - 1
-            if top in pivots:
-                row ^= pivots[top]
-            else:
-                pivots[top] = row
-                break
-    # back-substitute for a canonical reduced basis
-    for top in sorted(pivots, reverse=True):
-        row = pivots[top]
-        for other in list(pivots):
-            if other != top and pivots[other] >> top & 1:
-                pivots[other] ^= row
-    return [pivots[t] for t in sorted(pivots, reverse=True)]
-
-
 def solve(rows, target):
     """Solve sum of chosen rows == target; return chosen-index bitmask or None.
 

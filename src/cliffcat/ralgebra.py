@@ -63,7 +63,11 @@ def basis_mon_r(n, x, w):
 
 
 def mono_qdeg_r(n, mono):
-    x, w = mono
+    return _qdeg_r(n, *mono)
+
+
+@lru_cache(maxsize=None)
+def _qdeg_r(n, x, w):
     return sum(n - 1 - 2 * s for s in forced_pairs(x, w))
 
 

@@ -33,6 +33,15 @@ def from_seq(elems, n=None):
     return mask
 
 
+def from_json(data, n):
+    """A vertex mask from its JSON form: a strictly decreasing list in [0, n]."""
+    if not isinstance(data, list) or not all(type(e) is int for e in data):
+        raise ValueError(f"vertex {data!r} is not a list of integers")
+    if any(a <= b for a, b in zip(data, data[1:])):
+        raise ValueError(f"vertex {data!r} is not strictly decreasing")
+    return from_seq(data, n)
+
+
 def length(v):
     return bin(v).count("1")
 

@@ -6,6 +6,7 @@ from cliffcat import bimodule as bm
 from cliffcat import kzero as kz
 from cliffcat import ralgebra as ra
 from cliffcat import vertices as vx
+from cliffcat.boxalgebra import box_algebra
 import cliffcat.complexes as cx
 from cliffcat.laurent import LaurentZ
 from cliffcat.quiver import DIAG, XSIDE, YSIDE, pair_mask
@@ -30,6 +31,16 @@ def test_t_pair_k0_is_product():
                     vx.fmt(x),
                     vx.fmt(y),
                 )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_act_path_cache_matches_fresh_fold(n):
+    # the memoized right action of every box class equals a fresh fold of
+    # its generators' chain maps, and a repeated call returns the same map
+    for source, arrows in box_algebra(n).all_monomials():
+        fresh = bm.act_path.__wrapped__(n, source, arrows)
+        assert bm.act_path(n, source, arrows).entries == fresh.entries
+        assert bm.act_path(n, source, arrows).entries == fresh.entries
 
 
 def test_t_pair_zero_when_repetition():

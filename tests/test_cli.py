@@ -117,7 +117,7 @@ def test_verify_caps_n(capsys):
     # bound capping keeps oversized n runnable
     code, out = run(capsys, "verify", "--n", "9", "--suite", "catun")
     assert code == 0
-    assert "n=3" in out
+    assert "n=5" in out
 
 
 def test_usage_errors(capsys):

@@ -6,12 +6,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cliffcat
 from cliffcat import cli
 from cliffcat import kzero as kz
 from cliffcat import ralgebra as ra
 from cliffcat import vertices as vx
+from cliffcat.boxalgebra import box_algebra
+from cliffcat.quiver import DIAG, arrow_qdeg
 import cliffcat.complexes as cx
 from cliffcat.laurent import LaurentZ
 
@@ -131,6 +134,28 @@ def test_lift_of_tensor_is_valid():
         assert alg.h_map(lifted.delta[key]) == e
 
 
+def test_lift_to_box_keeps_contract_check():
+    # one entry off the q contract with delta^2 = 0: the lift leaves its
+    # correction loop at once, and the contract check must still catch it
+    good = cx.tensor_f2(two_step(), cx.projective(cx.RAlgebraOps(2), 0))
+    [(j, i)] = good.delta
+    summands = list(good.summands)
+    summands[i] = cx.Summand(summands[i].vertex, summands[i].qshift + 1, summands[i].cohshift)
+    bad = cx.ProjComplex(good.ops, summands, good.delta)
+    assert not cx.delta_square(bad)
+    with pytest.raises(cx.LiftError, match="q contract"):
+        cx.lift_to_box(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_box_degrees_match_sums(n):
+    ops = cx.BoxAlgebraOps(n)
+    for m in box_algebra(n).all_monomials():
+        arrows = m[1]
+        assert ops.mono_qdeg(m) == sum(arrow_qdeg(n, kind, s) for kind, s in arrows)
+        assert ops.mono_cohdeg(m) == -sum(kind == DIAG for kind, _ in arrows)
+
+
 @pytest.mark.parametrize("call", [
     "cx.lift_to_box(cx.projective(cx.RAlgebraOps(2), 0))",
     "bm.tensor_T(cx.projective(cx.RAlgebraOps(2), 0))",
@@ -198,3 +223,93 @@ def test_bad_box_monomial_is_usage_error(tmp_path, capsys, arrows, message):
     assert cli.main(["complex", "--file", str(path)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(message)
+
+
+def _vertex_7_at_n0(data):
+    data["n"] = 0
+    data["summands"][0]["vertex"] = [7]
+
+
+def _drop_delta(data):
+    del data["delta"]
+
+
+def _bad_row(data):
+    data["delta"][0]["row"] = len(data["summands"])
+
+
+def _bad_col(data):
+    data["delta"][0]["col"] = -1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_vertex_7_at_n0, "error: n must be positive, got 0"),
+    (lambda d: d["summands"][0].update(vertex=[7]), "error: element 7 out of range [0, 2]"),
+    (lambda d: d["summands"][0].update(vertex=[0, 1]),
+     "error: vertex [0, 1] is not strictly decreasing"),
+    (_drop_delta, "error: complex has no field 'delta'"),
+    (_bad_row, "error: delta entry (2, 0) out of range for 2 summands"),
+    (_bad_col, "error: delta entry (1, -1) out of range for 2 summands"),
+    (lambda d: d["delta"][0]["monomials"][0].reverse(), "error: no R monomial [1,0] -> []"),
+])
+def test_bad_complex_json_is_usage_error(tmp_path, capsys, edit, message):
+    data = cx.complex_to_json(two_step())
+    edit(data)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["complex", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+
+
+def test_top_level_list_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([cx.complex_to_json(two_step())]))
+    assert cli.main(["complex", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: complex is not a JSON object\n"
+
+
+def _json_sites(data, path=()):
+    """Every (container path, key) in a JSON tree."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        yield path, key
+        if isinstance(value, (dict, list)):
+            yield from _json_sites(value, path + (key,))
+
+
+def _fuzz_base():
+    r = two_step()
+    rr = cx.tensor_f2(r, r)
+    return [cx.complex_to_json(c) for c in (r, rr, cx.lift_to_box(rr))]
+
+
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.text(max_size=2),
+    st.just([]), st.just({}), st.lists(st.integers(-1, 4), max_size=3),
+    st.just("delete"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2), st.data())
+def test_mutated_complex_json_never_crashes(which, data):
+    # a decoded complex verifies or fails the Maurer-Cartan check; anything
+    # else must be refused by the decoder with ValueError (exit 2)
+    doc = _fuzz_base()[which]
+    path, key = data.draw(st.sampled_from(list(_json_sites(doc))))
+    holder = doc
+    for step in path:
+        holder = holder[step]
+    value = data.draw(_FUZZ_VALUES)
+    if value == "delete":
+        del holder[key]
+    else:
+        holder[key] = value
+    try:
+        c = cx.complex_from_json(doc)
+    except ValueError:
+        return
+    cx.verify_mc(c)
+    cx.k0_class(c)

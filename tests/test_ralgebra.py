@@ -30,6 +30,17 @@ def test_qdeg():
     assert ra.mono_qdeg_r(n, (0, 0)) == 0
 
 
+def test_cached_qdeg_matches_path_sum():
+    # the memoized degree equals the pair-by-pair sum along an enumerated path
+    for n in (1, 2, 3):
+        for x in vx.all_vertices(n):
+            for w in vx.all_vertices(n):
+                if ra.basis_mon_r(n, x, w) is None:
+                    continue
+                sums = {sum(n - 1 - 2 * s for s in p) for p in ra._paths(n, x, w)}
+                assert sums == {ra.mono_qdeg_r(n, (x, w))} == {ra._qdeg_r(n, x, w)}
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 4), st.integers(0, 31), st.integers(0, 31))
 def test_dim_matches_oracle(n, x, w):
