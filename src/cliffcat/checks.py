@@ -144,7 +144,7 @@ def local_lemma_failures(n):
     h = LaurentZH.monomial(0, 1)
 
     def vanishes_at_h(cls):
-        return not any(c.specialize_h(-1) for c in cls.values())
+        return not any(c.specialize_h() for c in cls.values())
 
     for s in range(n):
         a, b = 1 << s, 1 << (s + 1)

@@ -46,9 +46,6 @@ class RAlgebraOps:
     def mono_cohdeg(self, m):
         return 0
 
-    def idempotent(self, v):
-        return (v, v)
-
     def mult(self, a, b):
         return ra.mult_r(self.n, a, b)
 
@@ -92,10 +89,6 @@ class RRAlgebraOps:
     def mono_cohdeg(self, m):
         return 0
 
-    def idempotent(self, v):
-        x, y = v
-        return ((x, x), (y, y))
-
     def mult(self, a, b):
         return ra.mult_rr(self.n, a, b)
 
@@ -137,9 +130,6 @@ class BoxAlgebraOps:
 
     def mono_cohdeg(self, m):
         return _box_degrees(self.n, m[1])[1]
-
-    def idempotent(self, v):
-        return (v, ())
 
     def mult(self, a, b):
         return self.algebra.mult(a, b)
@@ -229,44 +219,81 @@ def entry_degrees(ops, e):
     return next(iter(degs))
 
 
-def delta_square(c):
-    """Entries of d(delta) + delta*delta, as {(j, i): elem}."""
-    ops = c.ops
+# ---------------------------------------------------------------------------
+# the sparse-matrix kernel: differentials and chain-map entries are
+# {(row, col): F2 element}, the (j, i) entry mapping summand i to summand j.
+# No other code does arithmetic on this format.
+
+
+def mat_add(*mats):
+    """Entrywise F2 sum."""
     out = {}
-    for (j, i), e in c.delta.items():
-        de = ops.diff(e)
-        if de:
-            out[(j, i)] = out.get((j, i), frozenset()) ^ de
-    by_source = {}
-    for (j, i), e in c.delta.items():
-        by_source.setdefault(i, []).append((j, e))
-    for (j, i), e1 in c.delta.items():
-        for k, e2 in by_source.get(j, []):
-            prod = ops.mult(e1, e2)
-            if prod:
-                out[(k, i)] = out.get((k, i), frozenset()) ^ prod
+    for mat in mats:
+        for key, e in mat.items():
+            cur = out.get(key)
+            out[key] = e if cur is None else cur ^ e
     return {key: e for key, e in out.items() if e}
 
 
-def contract_violation(c):
-    """The first entry out of range, off its endpoints or off the degree
-    contract, as a witness string; None if every entry keeps it."""
-    ops = c.ops
-    for (j, i), e in c.delta.items():
-        if i >= len(c.summands) or j >= len(c.summands):
+def mat_then(mult, a, b):
+    """The product "a then b": entry (k, i) sums mult(a[j, i], b[k, j]) over j."""
+    by_col = {}
+    for (k, j), e in b.items():
+        by_col.setdefault(j, []).append((k, e))
+    out = {}
+    for (j, i), e1 in a.items():
+        for k, e2 in by_col.get(j, ()):
+            prod = mult(e1, e2)
+            if prod:
+                cur = out.get((k, i))
+                out[(k, i)] = prod if cur is None else cur ^ prod
+    return {key: e for key, e in out.items() if e}
+
+
+def mat_diff(diff, a):
+    """Entrywise differential."""
+    out = {}
+    for key, e in a.items():
+        de = diff(e)
+        if de:
+            out[key] = de
+    return out
+
+
+def map_violation(source, target, entries, degree):
+    """The first entry out of range, inhomogeneous, off its endpoints or off
+    the (q, coh) degree, as a witness string; None if every entry keeps it.
+    An entry (j, i) has degree (qdeg + a_i - a_j, cohdeg + b_j - b_i) for
+    source summand i = P(v_i){a_i}[b_i] and target summand j."""
+    ops = source.ops
+    qdeg, cohdeg = degree
+    sources, targets = source.summands, target.summands
+    ni, nj = len(sources), len(targets)
+    for (j, i), e in entries.items():
+        if not (0 <= i < ni and 0 <= j < nj):
             return f"entry ({j},{i}) out of range"
-        si, sj = c.summands[i], c.summands[j]
+        si, sj = sources[i], targets[j]
         try:
             qd, cd, src, tgt = entry_degrees(ops, e)
         except ValueError as exc:
             return str(exc)
         if src != si.vertex or tgt != sj.vertex:
             return f"entry ({j},{i}) endpoints do not match summands"
-        if cd + sj.cohshift - si.cohshift != 1:
+        if cd + sj.cohshift - si.cohshift != cohdeg:
             return f"entry ({j},{i}) violates the cohomological contract"
-        if qd != sj.qshift - si.qshift:
+        if qd + si.qshift - sj.qshift != qdeg:
             return f"entry ({j},{i}) violates the q contract"
     return None
+
+
+def delta_square(c):
+    """Entries of d(delta) + delta*delta, as {(j, i): elem}."""
+    return mat_add(mat_diff(c.ops.diff, c.delta), mat_then(c.ops.mult, c.delta, c.delta))
+
+
+def contract_violation(c):
+    """The first delta entry that breaks the degree contract, as a witness."""
+    return map_violation(c, c, c.delta, (0, 1))
 
 
 def verify_mc(c):
@@ -307,39 +334,17 @@ class ChainMap:
 def chain_map_defect(f):
     """Entries of d(f) + delta_N o f + f o delta_M (zero iff f is closed)."""
     ops = f.source.ops
-    out = {}
-    for (j, i), e in f.entries.items():
-        de = ops.diff(e)
-        if de:
-            out[(j, i)] = out.get((j, i), frozenset()) ^ de
-    for (j, i), e in f.entries.items():
-        for (k, j2), d in f.target.delta.items():
-            if j2 == j:
-                prod = ops.mult(e, d)
-                if prod:
-                    out[(k, i)] = out.get((k, i), frozenset()) ^ prod
-    for (j, i), d in f.source.delta.items():
-        for (k, j2), e in f.entries.items():
-            if j2 == j:
-                prod = ops.mult(d, e)
-                if prod:
-                    out[(k, i)] = out.get((k, i), frozenset()) ^ prod
-    return {key: e for key, e in out.items() if e}
+    return mat_add(
+        mat_diff(ops.diff, f.entries),
+        mat_then(ops.mult, f.entries, f.target.delta),
+        mat_then(ops.mult, f.source.delta, f.entries),
+    )
 
 
-def is_closed_map(f, degree=(0, 0)):
-    qdeg, cohdeg = degree
-    ops = f.source.ops
-    for (j, i), e in f.entries.items():
-        si = f.source.summands[i]
-        sj = f.target.summands[j]
-        qd, cd, src, tgt = entry_degrees(ops, e)
-        if src != si.vertex or tgt != sj.vertex:
-            return False
-        if cd + sj.cohshift - si.cohshift != cohdeg:
-            return False
-        if qd - sj.qshift + si.qshift != qdeg:
-            return False
+def is_closed_map(f):
+    """Whether f is a closed chain map of degree (0, 0)."""
+    if map_violation(f.source, f.target, f.entries, (0, 0)) is not None:
+        return False
     return not chain_map_defect(f)
 
 
@@ -356,11 +361,11 @@ def cone(f):
     summands = list(N.summands) + [
         Summand(s.vertex, s.qshift, s.cohshift - 1) for s in M.summands
     ]
-    delta = dict(N.delta)
-    for (j, i), e in M.delta.items():
-        delta[(off + j, off + i)] = e
-    for (j, i), e in f.entries.items():
-        delta[(j, off + i)] = delta.get((j, off + i), frozenset()) ^ e
+    delta = mat_add(
+        N.delta,
+        {(off + j, off + i): e for (j, i), e in M.delta.items()},
+        {(j, off + i): e for (j, i), e in f.entries.items()},
+    )
     out = ProjComplex(f.source.ops, summands, delta)
     ok, witness = verify_mc(out)
     if not ok:
@@ -401,19 +406,17 @@ def tensor_f2(m, nc):
         summands.append(
             Summand((si.vertex, sj.vertex), si.qshift + sj.qshift, si.cohshift + sj.cohshift)
         )
-    delta = {}
+    left = {}
     for (j, i), e in m.delta.items():
         for j2 in range(len(nc.summands)):
             ident = (nc.summands[j2].vertex, nc.summands[j2].vertex)
-            entry = frozenset((mo, ident) for mo in e)
-            delta[(index[(j, j2)], index[(i, j2)])] = entry
+            left[(index[(j, j2)], index[(i, j2)])] = frozenset((mo, ident) for mo in e)
+    right = {}
     for (j, i), e in nc.delta.items():
         for i2 in range(len(m.summands)):
             ident = (m.summands[i2].vertex, m.summands[i2].vertex)
-            entry = frozenset((ident, mo) for mo in e)
-            key = (index[(i2, j)], index[(i2, i)])
-            delta[key] = delta.get(key, frozenset()) ^ entry
-    out = ProjComplex(ops, summands, delta)
+            right[(index[(i2, j)], index[(i2, i)])] = frozenset((ident, mo) for mo in e)
+    out = ProjComplex(ops, summands, mat_add(left, right))
     ok, witness = verify_mc(out)
     if not ok:
         raise AssertionError(f"tensor over F2 produced an invalid complex: {witness}")
@@ -444,7 +447,7 @@ def lift_to_box(c):
         residual = delta_square(out)
         if not residual:
             break
-        new_delta = dict(out.delta)
+        corrections = {}
         for (j, i), e in sorted(residual.items()):
             _, cd, src, tgt = entry_degrees(ops, e)
             basis = alg.hom_basis(src, tgt, cohdeg=cd - 1)
@@ -465,12 +468,10 @@ def lift_to_box(c):
                 raise LiftError(
                     f"unliftable complex: residual at ({j},{i}) is not a boundary"
                 )
-            correction = frozenset(
+            corrections[(j, i)] = frozenset(
                 (src, basis[b]) for b in range(len(basis)) if combo >> b & 1
             )
-            key = (j, i)
-            new_delta[key] = new_delta.get(key, frozenset()) ^ correction
-        out = ProjComplex(ops, out.summands, new_delta)
+        out = ProjComplex(ops, out.summands, mat_add(out.delta, corrections))
     else:
         raise LiftError("diagonal correction search did not converge")
     # the loop left on delta_square(out) == {}, so only the contract is open

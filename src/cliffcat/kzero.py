@@ -127,7 +127,8 @@ def higher_mult_kh(n, a, b):
 
 def mult_mono(n, x, y):
     """Specialized product of two vertices, as {vertex: LaurentZ}."""
-    return {v: c.specialize_h(-1) for v, c in higher_mult(n, x, y).items() if c.specialize_h(-1)}
+    out = {v: c.specialize_h() for v, c in higher_mult(n, x, y).items()}
+    return {v: c for v, c in out.items() if c}
 
 
 def mult(n, a, b):

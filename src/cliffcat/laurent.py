@@ -69,10 +69,6 @@ class LaurentZ:
     def to_json(self):
         return [[e, c] for e, c in self.items()]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls({int(e): int(c) for e, c in data})
-
     def __repr__(self):
         return f"LaurentZ({dict(self.items())})"
 
@@ -134,22 +130,15 @@ class LaurentZH:
     def items(self):
         return sorted(self.coeffs.items())
 
-    def specialize_h(self, value=-1):
-        """Substitute h := value (a ring map); h^-1 goes to value^-1 = value
-        since only value = +-1 is meaningful here."""
-        if value not in (1, -1):
-            raise ValueError("h can only be specialized at a unit of Z")
+    def specialize_h(self):
+        """Substitute h := -1 (a ring map; h^-1 goes to -1 as well)."""
         out = {}
         for (qe, he), c in self.coeffs.items():
-            out[qe] = out.get(qe, 0) + c * (value ** (he % 2 if value == -1 else 0))
+            out[qe] = out.get(qe, 0) + (-c if he % 2 else c)
         return LaurentZ(out)
 
     def to_json(self):
         return [[qe, he, c] for (qe, he), c in self.items()]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls({(int(qe), int(he)): int(c) for qe, he, c in data})
 
     def __repr__(self):
         return f"LaurentZH({dict(self.items())})"

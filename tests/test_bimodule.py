@@ -96,17 +96,54 @@ def test_leibniz_negative_control():
     assert defect.entries
 
 
+@pytest.mark.parametrize("broken", ["endpoint", "q-degree"])
+def test_generator_degree_check_negative_control(monkeypatch, broken):
+    # one entry of a generator's chain map moved off its target vertex, or
+    # its target summand moved off the generator's q-degree, is reported
+    n = 2
+    xy = (vx.from_seq((1, 0)), 1 << 2)
+    real = bm.right_act_chainmap
+    ch = real(n, xy, YSIDE, 0)
+    (j, i), e = sorted(ch.entries.items())[0]
+    ((src, tgt),) = e
+    if broken == "endpoint":
+        other = next(
+            w for w in vx.all_vertices(n) if w != tgt and ra.basis_mon_r(n, src, w)
+        )
+        entries = dict(ch.entries)
+        entries[(j, i)] = frozenset([ra.basis_mon_r(n, src, other)])
+        mutated = cx.ChainMap(ch.source, ch.target, entries)
+        want = f"entry ({j},{i}) endpoints do not match summands"
+    else:
+        summands = list(ch.target.summands)
+        s = summands[j]
+        summands[j] = cx.Summand(s.vertex, s.qshift + 1, s.cohshift)
+        target = cx.ProjComplex(ch.target.ops, summands, ch.target.delta)
+        mutated = cx.ChainMap(ch.source, target, ch.entries)
+        want = "violates the q contract"
+    monkeypatch.setattr(
+        bm, "right_act_chainmap",
+        lambda *args: mutated if args == (n, xy, YSIDE, 0) else real(*args),
+    )
+    failures = []
+    bm._check_pair(n, xy, failures)
+    prefix = f"{vx.fmt_pair(xy)} {YSIDE}0: "
+    assert any(f.startswith(prefix) and want in f for f in failures), failures
+
+
 def test_verify_bimodule_small():
-    assert bm.verify_bimodule(1) == []
-    assert bm.verify_bimodule(2) == []
+    for n in (1, 2):
+        failures, checks = bm.verify_bimodule(n)
+        assert failures == [] and checks > (1 << (n + 1)) ** 2
 
 
 def test_verify_bimodule_n3():
-    assert bm.verify_bimodule(3) == []
+    assert bm.verify_bimodule(3)[0] == []
 
 
-def test_verify_bimodule_n4_random():
-    assert bm.verify_bimodule(4, seed=11, samples=40) == []
+def test_verify_bimodule_n4():
+    # every vertex pair, every generator entry, every left multiple
+    assert bm.verify_bimodule(4)[0] == []
 
 
 def test_tensor_T_single_projective():

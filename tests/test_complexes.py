@@ -88,6 +88,46 @@ def test_cone():
     assert cx.k0_class(c) == want
 
 
+@pytest.mark.parametrize("entries", [
+    {(1, 0): frozenset([(0, vx.from_seq((1, 0)))])},  # row out of range
+    {(0, 0): frozenset([(0, vx.from_seq((1, 0))), (0, 0)])},  # inhomogeneous
+])
+def test_is_closed_map_rejects_malformed_entries(entries):
+    ops = cx.RAlgebraOps(2)
+    M = cx.projective(ops, 0, qshift=-1)
+    N = cx.projective(ops, vx.from_seq((1, 0)))
+    assert not cx.is_closed_map(cx.ChainMap(M, N, entries))
+
+
+R_MONOS_N2 = [
+    (x, w) for x in vx.all_vertices(2) for w in vx.all_vertices(2)
+    if ra.basis_mon_r(2, x, w) is not None
+]
+sparse_r = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.frozensets(st.sampled_from(R_MONOS_N2), min_size=1, max_size=3),
+    max_size=8,
+)
+
+
+@given(sparse_r, sparse_r)
+@settings(max_examples=200, deadline=None)
+def test_kernel_product_matches_dense_loop(a, b):
+    def mult(x, y):
+        return ra.mult_r(2, x, y)
+
+    dense = {}
+    for i in range(4):
+        for k in range(4):
+            acc = frozenset()
+            for j in range(4):
+                acc ^= mult(a.get((j, i), frozenset()), b.get((k, j), frozenset()))
+            if acc:
+                dense[(k, i)] = acc
+    assert cx.mat_then(mult, a, b) == dense
+    assert cx.mat_add(a, b, a) == cx.mat_add(b)
+
+
 def test_cone_rejects_open_maps():
     ops = cx.RAlgebraOps(2)
     M = cx.projective(ops, 0)  # wrong q-shift for the entry below
