@@ -82,10 +82,15 @@ class Word:
 
 
 def _leaves(tree):
-    if isinstance(tree, int):
-        return (tree,)
-    left, right = tree
-    return _leaves(left) + _leaves(right)
+    out, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, int):
+            out.append(t)
+        else:
+            left, right = t
+            stack += (right, left)
+    return tuple(out)
 
 
 def left_fold_tree(k):
@@ -99,34 +104,31 @@ def left_fold_tree(k):
 
 
 def parse_association(text):
-    """Parse '((..).)' into a nested pair tree with leaves numbered in order."""
-    pos = 0
-    counter = [0]
+    """Parse '((..).)' into a nested pair tree with leaves numbered in order.
 
-    def parse():
-        nonlocal pos
-        if pos >= len(text):
-            raise ValueError("unbalanced association string")
-        ch = text[pos]
+    Open groups live on an explicit stack, so any nesting depth parses."""
+    groups = [[]]  # the top level, then one list of subtrees per open '('
+    leaves = 0
+    for ch in text:
+        if ch == "(":
+            groups.append([])
+            continue
         if ch == ".":
-            pos += 1
-            leaf = counter[0]
-            counter[0] += 1
-            return leaf
-        if ch != "(":
-            raise ValueError(f"unexpected {ch!r} in association string")
-        pos += 1
-        left = parse()
-        right = parse()
-        if pos >= len(text) or text[pos] != ")":
+            tree, leaves = leaves, leaves + 1
+        elif ch == ")" and len(groups) > 1 and len(groups[-1]) == 2:
+            tree = tuple(groups.pop())
+        elif ch == ")":
             raise ValueError("unbalanced association string")
-        pos += 1
-        return (left, right)
-
-    tree = parse()
-    if pos != len(text):
-        raise ValueError("trailing characters in association string")
-    return tree
+        else:
+            raise ValueError(f"unexpected {ch!r} in association string")
+        if len(groups) == 1 and groups[0]:
+            raise ValueError("trailing characters in association string")
+        if len(groups[-1]) == 2:
+            raise ValueError("unbalanced association string")
+        groups[-1].append(tree)
+    if len(groups) > 1 or not groups[0]:
+        raise ValueError("unbalanced association string")
+    return groups[0][0]
 
 
 def parse_word(text, assoc=None):
@@ -142,19 +144,22 @@ def parse_word(text, assoc=None):
 
 
 def lift_word(n, word):
-    """Fold rho over the association tree (default: left fold)."""
-    letters = word.letters
+    """Fold rho over the association tree (default: left fold), in post-order
+    on an explicit stack, so any tree depth folds."""
     tree = word.association
     if tree is None:
-        tree = left_fold_tree(len(letters))
-
-    def build(t):
-        if isinstance(t, int):
-            return letter_complex(n, letters[t])
-        left, right = t
-        return rho(build(left), build(right))
-
-    return build(tree)
+        tree = left_fold_tree(len(word.letters))
+    todo, done = [tree], []
+    while todo:
+        t = todo.pop()
+        if t is None:  # both children of a node are lifted
+            right = done.pop()
+            done.append(rho(done.pop(), right))
+        elif isinstance(t, int):
+            done.append(letter_complex(n, word.letters[t]))
+        else:
+            todo += (None, t[1], t[0])
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +205,6 @@ def ee_shape_check(n):
         if k0_class(c):
             failures.append(f"{name}: K0 class not zero")
     return failures
-
-
-def association_k0_check(n, letters):
-    """k0 of the lifting is independent of the association."""
-    trees = _all_trees(0, len(letters))
-    classes = [k0_class(lift_word(n, Word(letters, t))) for t in trees]
-    return all(c == classes[0] for c in classes), len(trees)
 
 
 def _all_trees(lo, hi):

@@ -1,6 +1,6 @@
 """The invariants behind the paper's claims, each as one sweep.
 
-Every function returns ``(failures, checks)``: the failure witnesses (empty
+Every ``*_failures`` sweep returns ``(failures, checks)``: the failure witnesses (empty
 when the invariant holds) and the number of comparisons it evaluated.  The
 verification suites of the command line tool and the acceptance tests both
 call these functions, so the two always check the same things.  Library
@@ -9,6 +9,7 @@ modules do not import this one.
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 from . import bimodule as bm
@@ -19,9 +20,9 @@ from . import kzero as kz
 from . import quiver as qv
 from . import ralgebra as ra
 from . import vertices as vx
-from .laurent import LaurentZH
+from .laurent import LaurentZ, LaurentZH
 
-ASSOC_DRAWS = 100000  # random triples per associativity sweep above n = 3
+QFORM_DRAWS = 1000  # quadratic-form draws per n, from random.Random(n)
 
 # the words whose lifts are checked: every word of length 1..3 over these
 WORDS = [w for k in (1, 2, 3) for w in product(("E", "F", "Q", "Qinv"), repeat=k)]
@@ -192,23 +193,81 @@ def single_letter_failures(n):
     return failures, checks
 
 
-def assoc_triples(n, rng):
-    """Every vertex triple for n <= 3, else ASSOC_DRAWS triples from rng."""
-    if n <= 3:
-        verts = list(vx.all_vertices(n))
-        return product(verts, verts, verts)
-    return (
-        tuple(rng.randrange(1 << (n + 1)) for _ in range(3)) for _ in range(ASSOC_DRAWS)
-    )
+def _product_table(n):
+    """The specialized product as a lookup, each ordered pair computed once."""
+    verts = vx.all_vertices(n)
+    table = {(x, y): kz.mult_mono(n, x, y) for x in verts for y in verts}
+    return lambda x, y: table[x, y]
 
 
-def associativity_failures(n, triples):
-    """m(m(a, b), c) == m(a, m(b, c)) for the specialized product."""
+def clifford_word(n, word):
+    """The Clifford monomial X_{w1}...X_{wk} in the vertex basis, reading the
+    vertex [i1 > ... > ik] as X_{i1}...X_{ik}; as {vertex: LaurentZ}.
+
+    Rewrites with X_i^2 = 0, X_iX_j = -X_jX_i for |i - j| > 1 and
+    X_iX_{i+1} = -X_{i+1}X_i + q^{2i+1-n}, independently of kzero."""
+    terms = {}  # vertex -> {q-exponent: coefficient}
+    stack = [(tuple(word), 1, 0)]  # (word, sign, q-exponent)
+    while stack:
+        w, sign, e = stack.pop()
+        k = next((k for k in range(len(w) - 1) if w[k] <= w[k + 1]), None)
+        if k is None:
+            coeffs = terms.setdefault(vx.from_seq(w), {})
+            coeffs[e] = coeffs.get(e, 0) + sign
+            continue
+        i, j = w[k], w[k + 1]
+        if i == j:
+            continue
+        stack.append((w[:k] + (j, i) + w[k + 2:], -sign, e))
+        if j == i + 1:
+            stack.append((w[:k] + w[k + 2:], sign, e + 2 * i + 1 - n))
+    out = {v: LaurentZ(c) for v, c in terms.items()}
+    return {v: c for v, c in out.items() if c}
+
+
+def clifford_failures(n):
+    """The vertex product is the Clifford algebra: on every ordered pair of
+    vertices it equals the Clifford rewriting of the concatenated word, the
+    length-one generators satisfy the defining relations, and the square of
+    each of QFORM_DRAWS integer combinations of them is its quadratic form."""
     failures, checks = [], 0
-    for a, b, c in triples:
+    m, zero = _product_table(n), LaurentZ()
+
+    def mult(a, b):
+        return kz.extend(m, zero, a, b)
+
+    for x, y in product(vx.all_vertices(n), repeat=2):
         checks += 1
-        lhs = kz.mult(n, kz.mult_mono(n, a, b), kz.kclass(c))
-        rhs = kz.mult(n, kz.kclass(a), kz.mult_mono(n, b, c))
+        if clifford_word(n, vx.seq(x) + vx.seq(y)) != m(x, y):
+            failures.append(f"n={n}: Clifford basis at {vx.fmt(x)},{vx.fmt(y)}")
+    gens = [kz.kclass(1 << i) for i in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(i, n + 1):  # i = j checks 2 X_i^2 = 0
+            checks += 1
+            anti = kz.kclass_add(mult(gens[i], gens[j]), mult(gens[j], gens[i]))
+            want = kz.kclass(0, LaurentZ.q_power(2 * i + 1 - n)) if j == i + 1 else {}
+            if anti != want:
+                failures.append(f"n={n}: X_{i}X_{j} + X_{j}X_{i} != {kz.fmt_kclass(want)}")
+    rng = random.Random(n)
+    for _ in range(QFORM_DRAWS):
+        checks += 1
+        a = [rng.randint(-9, 9) for _ in range(n + 1)]
+        v = {1 << i: LaurentZ({0: c}) for i, c in enumerate(a) if c}
+        qform = LaurentZ({2 * i + 1 - n: a[i] * a[i + 1] for i in range(n)})
+        if mult(v, v) != ({0: qform} if qform else {}):
+            failures.append(f"n={n}: quadratic form mismatch for a={a}")
+    return failures, checks
+
+
+def associativity_failures(n):
+    """m(m(a, b), c) == m(a, m(b, c)) for the specialized product on every
+    vertex triple."""
+    failures, checks = [], 0
+    m, zero, one = _product_table(n), LaurentZ(), LaurentZ.unit()
+    for a, b, c in product(vx.all_vertices(n), repeat=3):
+        checks += 1
+        lhs = kz.extend(m, zero, m(a, b), {c: one})
+        rhs = kz.extend(m, zero, {a: one}, m(b, c))
         if lhs != rhs:
             failures.append(f"n={n}: associativity at {vx.fmt(a)},{vx.fmt(b)},{vx.fmt(c)}")
     return failures, checks

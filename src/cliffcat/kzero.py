@@ -113,16 +113,21 @@ def higher_mult(n, x, y):
     return {v: c for v, c in out.items() if c}
 
 
-def higher_mult_kh(n, a, b):
-    """Bilinear extension of higher_mult to {vertex: LaurentZH} arguments."""
+def extend(product, zero, a, b):
+    """Bilinear extension of a vertex product to {vertex: coefficient}
+    classes; zero is the coefficient ring's zero."""
     out = {}
     for xv, xc in a.items():
         for yv, yc in b.items():
             c = xc * yc
-            for mon, coeff in higher_mult(n, xv, yv).items():
-                cur = out.get(mon, LaurentZH())
-                out[mon] = cur + c * coeff
+            for mon, coeff in product(xv, yv).items():
+                out[mon] = out.get(mon, zero) + c * coeff
     return {v: c for v, c in out.items() if c}
+
+
+def higher_mult_kh(n, a, b):
+    """Bilinear extension of higher_mult to {vertex: LaurentZH} arguments."""
+    return extend(lambda x, y: higher_mult(n, x, y), LaurentZH(), a, b)
 
 
 def mult_mono(n, x, y):
@@ -133,14 +138,7 @@ def mult_mono(n, x, y):
 
 def mult(n, a, b):
     """Bilinear product on {vertex: LaurentZ} classes."""
-    out = {}
-    for xv, xc in a.items():
-        for yv, yc in b.items():
-            c = xc * yc
-            for mon, coeff in mult_mono(n, xv, yv).items():
-                cur = out.get(mon, LaurentZ())
-                out[mon] = cur + c * coeff
-    return {v: c for v, c in out.items() if c}
+    return extend(lambda x, y: mult_mono(n, x, y), LaurentZ(), a, b)
 
 
 def kclass(v, coeff=None):
@@ -155,52 +153,8 @@ def kclass_add(a, b):
     return {v: c for v, c in out.items() if c}
 
 
-def kclass_scale(a, coeff):
-    return {v: coeff * c for v, c in a.items() if coeff * c}
-
-
 # ---------------------------------------------------------------------------
-# Clifford structure checks and the quantum-group inclusion
-
-
-def clifford_check(n, rng=None, samples=0):
-    """Verify the Clifford presentation on the length-one generators.
-
-    Returns a list of failure descriptions (empty = pass).
-    """
-    failures = []
-    gens = [kclass(vx.from_seq((i,))) for i in range(n + 1)]
-    unit = kclass(0)
-
-    def anti(i, j):
-        return kclass_add(mult(n, gens[i], gens[j]), mult(n, gens[j], gens[i]))
-
-    for i in range(n + 1):
-        if mult(n, gens[i], gens[i]):
-            failures.append(f"X_{i}^2 != 0")
-    for i in range(n + 1):
-        for j in range(i + 2, n + 1):
-            if anti(i, j):
-                failures.append(f"X_{i}X_{j} + X_{j}X_{i} != 0")
-    for i in range(n):
-        want = kclass_scale(unit, LaurentZ.q_power(2 * i + 1 - n))
-        if anti(i, i + 1) != want:
-            failures.append(f"X_{i}X_{i + 1} + X_{i + 1}X_{i} != q^{2 * i + 1 - n}")
-    if rng is not None:
-        for _ in range(samples):
-            coeffs = [rng.randint(-9, 9) for _ in range(n + 1)]
-            v = {}
-            for i, c in enumerate(coeffs):
-                if c:
-                    v = kclass_add(v, kclass_scale(gens[i], LaurentZ({0: c})))
-            sq = mult(n, v, v)
-            qform = LaurentZ()
-            for i in range(n):
-                qform = qform + LaurentZ.q_power(2 * i + 1 - n, coeffs[i] * coeffs[i + 1])
-            want = kclass_scale(unit, qform)
-            if sq != want:
-                failures.append(f"quadratic form mismatch for a={coeffs}")
-    return failures
+# the quantum-group inclusion
 
 
 def iota_letter(n, letter):

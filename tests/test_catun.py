@@ -85,9 +85,7 @@ def test_shift_letters():
     c = cu.lift_word(n, cu.parse_word("q q-1"))
     assert [(s.vertex, s.qshift, s.cohshift) for s in c.summands] == [(0, 0, 0)]
     cq = cu.lift_word(n, cu.Word(("Q", "E")))
-    assert cx.k0_class(cq) == kz.kclass_scale(
-        kz.iota_letter(n, "E"), kz.iota_letter(n, "Q")[0]
-    )
+    assert cx.k0_class(cq) == kz.iota(n, ("Q", "E"))
 
 
 def test_ee_shape():
@@ -102,13 +100,6 @@ def test_ee_summands_explicit_n2():
     assert got == [("[2,0]", 0, -1), ("[2,0]", 0, 0)]
     assert not c.delta
     assert cx.k0_class(c) == {}
-
-
-def test_association_independence_k0():
-    for n in (1, 2):
-        for letters in (("E", "F", "E"), ("F", "E", "F"), ("E", "Q", "F")):
-            ok, count = cu.association_k0_check(n, letters)
-            assert ok and count == 2
 
 
 def test_all_trees_catalan():

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
-import random
+
+from hypothesis import example, given, settings, strategies as st
 
 from cliffcat import checks as ck
 from cliffcat import cli
@@ -90,27 +93,31 @@ def test_verify_all_counts(capsys):
     reports = json.loads(out)
     assert all(r["failures"] == [] for r in reports)
     assert {r["suite"]: r["checks"] for r in reports} == {
-        "quiver": 18, "algebra": 300, "box": 68585, "clifford": 1010,
-        "kzero": 4126, "bimodule": 2212, "catun": 156,
+        "quiver": 18, "algebra": 300, "box": 68585, "clifford": 1266,
+        "kzero": 4126, "bimodule": 1648, "catun": 156,
     }
 
 
 def test_broken_product_is_reported(monkeypatch):
-    # a wrong vertex product for one pair shows in the CLI suite and in the
-    # shared check alike, each with the failing triple as witness
+    # a wrong vertex product for one pair shows in the clifford suite, with
+    # the pair as witness, and in the kzero suite and the shared check alike,
+    # with a failing triple as witness (the kzero sweep at n = 5 takes 4 s,
+    # so it is shown at n = 2 only)
     real = kz.mult_mono
+    bad = {(2, 0b001, 0b010), (5, 0b100100, 0b000011)}  # [0],[1] and [5,2],[1,0]
 
     def broken(n, x, y):
         out = real(n, x, y)
-        if (n, x, y) == (2, 0b001, 0b010):
+        if (n, x, y) in bad:
             out = kz.kclass_add(out, kz.kclass(0))
         return out
 
     monkeypatch.setattr(kz, "mult_mono", broken)
+    assert "n=2: Clifford basis at [0],[1]" in cli.run_suite("clifford", 2).failures
+    assert "n=5: Clifford basis at [5,2],[1,0]" in cli.run_suite("clifford", 5).failures
     witness = "n=2: associativity at [0],[1],[2]"
-    assert witness in cli.run_suite("kzero", 2, 0).failures
-    failures, _ = ck.associativity_failures(2, ck.assoc_triples(2, random.Random(0)))
-    assert witness in failures
+    assert witness in cli.run_suite("kzero", 2).failures
+    assert witness in ck.associativity_failures(2)[0]
 
 
 def test_verify_caps_n(capsys):
@@ -124,6 +131,71 @@ def test_usage_errors(capsys):
     assert cli.main(["bogus"]) == 2
     assert cli.main(["multiply", "--n", "2", "--x", "[0]"]) == 2
     assert cli.main(["quiver", "--n", "0"]) == 2
+    assert cli.main(["verify", "--n", "2", "--seed", "0"]) == 2
+    # a lone --source or --target is refused, not ignored
+    assert cli.main(["algebra", "--n", "2", "--source", "[]"]) == 2
+    assert cli.main(["algebra", "--n", "2", "--target", "[1,0]"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# deeper than Python's recursion limit, also while hypothesis raises it
+DEEP = 5000
+DEEP_ASSOC = ["lift", "--n", "2", "--word", "EF", "--assoc", "(" * DEEP]
+DEEP_WORD = ["lift", "--n", "1", "--word", "E" * DEEP]
+
+
+def test_deep_input():
+    # nesting and word length are not bounded by Python's recursion limit
+    code, _, err = run_quiet(DEEP_ASSOC)
+    assert code == 2 and err == "error: unbalanced association string\n"
+    code, out, _ = run_quiet(DEEP_WORD)
+    assert code == 0 and out == "delta entries: 0\nk0 = 0\n"
+    right_nested = "(." * (DEEP - 1) + "." + ")" * (DEEP - 1)
+    assert run_quiet(DEEP_WORD + ["--assoc", right_nested])[:2] == (0, out)
+
+
+# argument text: mostly the characters the parsers know, sometimes any
+_TEXT = st.text(st.sampled_from("EFq1-().[], 0123") | st.characters(), max_size=8)
+
+
+def _opt(name, text):
+    # the --name=value form keeps a value that starts with '-' a value
+    return [] if text is None else [f"--{name}={text}"]
+
+
+_ARGV = st.builds(
+    lambda cmd, n, a, b: {
+        "lift": ["lift", "--n", n] + _opt("word", a) + _opt("assoc", b),
+        "multiply": ["multiply", "--n", n] + _opt("x", a) + _opt("y", b),
+        "bimodule": ["bimodule", "--n", n, "--pair", a or "", b or ""],
+        "algebra": ["algebra", "--n", n] + _opt("source", a) + _opt("target", b),
+    }[cmd],
+    st.sampled_from(["lift", "multiply", "bimodule", "algebra"]),
+    st.sampled_from(["1", "2", "3"]),
+    st.none() | _TEXT,
+    st.none() | _TEXT,
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_ARGV)
+@example(DEEP_ASSOC)
+@example(DEEP_WORD)
+@example(["multiply", "--n", "1", "--x=--", "--y=[0]"])  # argparse gives x = []
+def test_fuzzed_arguments_exit_cleanly(argv):
+    # any argument text ends in exit 0, 1 or 2, never in an exception; a
+    # usage error prints exactly one line on stderr
+    code, _, err = run_quiet(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_export_all(tmp_path, capsys):

@@ -1,9 +1,8 @@
 """The q,h-valued product on vertex classes and its Clifford specialization."""
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
+from cliffcat import checks as ck
 from cliffcat import kzero as kz
 from cliffcat import vertices as vx
 from cliffcat.laurent import LaurentZ, LaurentZH
@@ -157,9 +156,10 @@ def test_euler_additive(n, data):
 
 
 def test_clifford_all_n():
-    rng = random.Random(7)
     for n in range(1, 6):
-        assert kz.clifford_check(n, rng, 50) == []
+        failures, checks = ck.clifford_failures(n)
+        assert failures == []
+        assert checks == 4 ** (n + 1) + (n + 1) + n * (n - 1) // 2 + n + ck.QFORM_DRAWS
 
 
 def test_iota_relations():
