@@ -296,12 +296,24 @@ def letter_failures(n):
     return failures, checks
 
 
+def all_trees(lo, hi):
+    """Every binary association tree over the leaves lo..hi-1."""
+    if hi - lo == 1:
+        return [lo]
+    out = []
+    for mid in range(lo + 1, hi):
+        for left in all_trees(lo, mid):
+            for right in all_trees(mid, hi):
+                out.append((left, right))
+    return out
+
+
 def word_lift_failures(n):
     """Every word in WORDS under every association tree lifts to a valid
     complex whose K0 class is the word's product folded over the same tree."""
     failures, checks = [], 0
     for w in WORDS:
-        for tree in cu._all_trees(0, len(w)):
+        for tree in all_trees(0, len(w)):
             checks += 1
             lifted = cu.lift_word(n, cu.Word(w, tree))
             ok, witness = cx.verify_mc(lifted)

@@ -3,7 +3,9 @@
 import pytest
 
 from cliffcat import catun as cu
+from cliffcat import checks as ck
 from cliffcat import kzero as kz
+from cliffcat import ralgebra as ra
 from cliffcat import vertices as vx
 import cliffcat.bimodule as bm
 import cliffcat.complexes as cx
@@ -25,7 +27,7 @@ def test_rho_of_projectives_is_t():
     ops = cx.RAlgebraOps(n)
     got = cu.rho(cx.projective(ops, 1 << 0), cx.projective(ops, 1 << 1))
     T = bm.t_pair(n, 1 << 0, 1 << 1).complex
-    assert cx.find_relabeling(got, T) is not None
+    assert got.summands == T.summands and got.delta == T.delta
 
 
 def test_unit_laws():
@@ -35,6 +37,67 @@ def test_unit_laws():
     # and on a complex with a nontrivial differential
     T = bm.t_pair(2, 1 << 0, 1 << 1).complex
     assert cu.unit_law_check(2, T) == []
+
+
+def _reversed(c):
+    last = len(c.summands) - 1
+    delta = {(last - j, last - i): e for (j, i), e in c.delta.items()}
+    return cx.ProjComplex(c.ops, c.summands[::-1], delta)
+
+
+def test_unit_law_check_sees_relabeling(monkeypatch):
+    # a rho that reverses the summands returns a relabeling of its input;
+    # the unit laws hold exactly, so the check must report it
+    for c in (cu.make_E(2), bm.t_pair(2, 1 << 0, 1 << 1).complex):
+        monkeypatch.setattr(cu, "rho", lambda m, nc: _reversed(c))
+        assert cu.unit_law_check(2, c) == ["right unit law fails", "left unit law fails"]
+
+
+def _invalid_r_complexes(n=4):
+    """Four complexes over R that break validity in different ways."""
+    ops = cx.RAlgebraOps(n)
+    v = vx.from_seq
+    a, b, c, e, c2 = 0, v((1, 0)), v((3, 2, 1, 0)), v((2, 1)), v((4, 3, 2, 1))
+    ab, bc = ra.basis_mon_r(n, a, b), ra.basis_mon_r(n, b, c)
+    ae, ec2 = ra.basis_mon_r(n, a, e), ra.basis_mon_r(n, e, c2)
+    q = lambda m: ra.mono_qdeg_r(n, m)
+    S = cx.Summand
+    square = cx.ProjComplex(
+        ops, (S(a, 0, 0), S(b, q(ab), 1), S(c, q(ab) + q(bc), 2)),
+        {(1, 0): {ab}, (2, 1): {bc}},
+    )
+    q_off = cx.ProjComplex(ops, (S(a, 0, 0), S(b, q(ab) + 1, 1)), {(1, 0): {ab}})
+    ends_off = cx.ProjComplex(ops, (S(a, 0, 0), S(b, q(ae), 1)), {(1, 0): {ae}})
+    # a -> b -> c and a -> e -> c2 land in one entry of delta^2: mixed endpoints
+    mixed = cx.ProjComplex(
+        ops, (S(a, 0, 0), S(b, q(ab), 1), S(c, q(ab) + q(bc), 2), S(e, q(ae), 1)),
+        {(1, 0): {ab}, (2, 1): {bc}, (3, 0): {ae}, (2, 3): {ec2}},
+    )
+    return {"square": square, "q_off": q_off, "ends_off": ends_off, "mixed": mixed}
+
+
+@pytest.mark.parametrize("defect", ["square", "q_off", "ends_off", "mixed"])
+def test_rho_rejects_invalid_input(defect):
+    # tensor_f2 does not check its output: lift_to_box reports every defect
+    n = 4
+    bad = _invalid_r_complexes(n)[defect]
+    assert not cx.verify_mc(bad)[0]
+    for letter in ("One", "E", "F"):
+        other = cu.letter_complex(n, letter)
+        for pair in ((bad, other), (other, bad)):
+            with pytest.raises(cx.LiftError):
+                cu.rho(*pair)
+
+
+def test_rho_checks_contract_twice(monkeypatch):
+    # on warm caches one rho step checks the degree contract once in
+    # lift_to_box and once in tensor_T's verify_mc, and nowhere else
+    E, F = cu.make_E(3), cu.make_F(3)
+    cu.rho(E, F)  # fill the t_pair and act_path caches
+    real, calls = cx.contract_violation, []
+    monkeypatch.setattr(cx, "contract_violation", lambda c: calls.append(c) or real(c))
+    cu.rho(E, F)
+    assert len(calls) == 2
 
 
 def test_rho_k0_multiplicative():
@@ -103,7 +166,7 @@ def test_ee_summands_explicit_n2():
 
 
 def test_all_trees_catalan():
-    assert len(cu._all_trees(0, 1)) == 1
-    assert len(cu._all_trees(0, 2)) == 1
-    assert len(cu._all_trees(0, 3)) == 2
-    assert len(cu._all_trees(0, 4)) == 5
+    assert len(ck.all_trees(0, 1)) == 1
+    assert len(ck.all_trees(0, 2)) == 1
+    assert len(ck.all_trees(0, 3)) == 2
+    assert len(ck.all_trees(0, 4)) == 5

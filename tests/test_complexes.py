@@ -222,20 +222,6 @@ def test_lift_section_property():
             assert all(kind in ("X", "Y") for kind, _ in arrows)
 
 
-def test_relabeling_search():
-    c = two_step()
-    flipped = cx.ProjComplex(
-        c.ops,
-        (c.summands[1], c.summands[0]),
-        {(1 - j, 1 - i): e for (j, i), e in c.delta.items()},
-    )
-    assert cx.find_relabeling(c, flipped) == [1, 0]
-    assert cx.find_relabeling(c, cx.zero_complex(c.ops)) is None
-    # same summands, missing delta: not a relabeling
-    stripped = cx.ProjComplex(c.ops, c.summands, {})
-    assert cx.find_relabeling(c, stripped) is None
-
-
 def test_json_round_trip_all_tags():
     n = 2
     r = two_step()
