@@ -32,6 +32,7 @@ SUITE_BOUNDS = {
     "bimodule": 5,
     "catun": 5,
 }
+MAX_N = 10  # the largest n of any suite or benchmark workload (2^(n+1) vertices)
 
 
 @dataclass
@@ -370,12 +371,12 @@ def main(argv=None):
             ap.error("an option is missing its value")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "n", 1) <= 0:
-        print("error: --n must be positive", file=sys.stderr)
+    if not 1 <= getattr(args, "n", 1) <= MAX_N:
+        print(f"error: --n must be between 1 and {MAX_N}", file=sys.stderr)
         return 2
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -429,13 +429,16 @@ def lift_to_box(c):
 
     Entries are lifted through the side-generator section; diagonal-generator
     corrections of lower cohomological degree are then solved for round by
-    round until the validity condition holds.  Raises LiftError if some
-    residual entry is inhomogeneous or not a boundary in its Hom-space (as
-    when d(delta) + delta^2 != 0 over RR), or if the result breaks the
-    degree contract.
+    round until the validity condition holds.  Raises LiftError if
+    d(delta) + delta^2 != 0 over RR, if some residual entry is inhomogeneous
+    or not a boundary in its Hom-space, or if the result breaks the degree
+    contract.
     """
     if c.ops.tag != "RR":
         raise AssertionError(f"lift_to_box needs a tensor-square complex, got {c.ops.tag}")
+    square = delta_square(c)
+    if square:
+        raise LiftError(f"d(delta)+delta^2 nonzero over RR at {min(square)}")
     n = c.ops.n
     ops = BoxAlgebraOps(n)
     alg = ops.algebra

@@ -136,10 +136,11 @@ def test_usage_errors(capsys):
     assert cli.main(["algebra", "--n", "2", "--source", "[]"]) == 2
     assert cli.main(["algebra", "--n", "2", "--target", "[1,0]"]) == 2
     assert capsys.readouterr().out == ""
-    # an n too large for a vertex bitmask is one line on stderr, no traceback
-    assert cli.main(["quiver", "--n", "99999999999999999999"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    # an n above MAX_N is refused before any enumeration: one stderr line
+    for n in (cli.MAX_N + 1, 40, 99999999999999999999):
+        assert cli.main(["quiver", "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --n must be between 1 and {cli.MAX_N}\n"
 
 
 def run_quiet(argv):
