@@ -7,10 +7,8 @@ more pair at a time.  The right action of the thickened tensor-square algebra
 is defined generator by generator through an index map f on subsets and a
 factor in the base algebra (a pair-insertion generator or an idempotent),
 following an eight-way case split on the memberships of the inserted pair's
-neighbors.  The left action is componentwise left multiplication, and
-every entry of a right action is right multiplication by an element of the
-base algebra, so left R-linearity holds by construction and is not swept:
-(a.m) x r = a.(m x r) is associativity of the base algebra.
+neighbors.  The left action is componentwise left multiplication.  The
+bimodule axioms are swept by cliffcat.checks.bimodule_failures.
 """
 
 from __future__ import annotations
@@ -21,19 +19,18 @@ from functools import lru_cache
 from . import kzero as kz
 from . import ralgebra as ra
 from . import vertices as vx
-from .boxalgebra import apply_arrow, canonical
+from .boxalgebra import apply_arrow
 from .complexes import (
     ChainMap,
     ProjComplex,
     RAlgebraOps,
     Summand,
     chain_map_defect,
-    map_violation,
     mat_add,
     mat_then,
     verify_mc,
 )
-from .quiver import DIAG, XSIDE, YSIDE, arrow_cohdeg, arrow_qdeg, box_arrow_targets, pair_mask
+from .quiver import DIAG, XSIDE, YSIDE, pair_mask
 
 
 @dataclass
@@ -188,14 +185,6 @@ def act_element(n, elem):
     return out
 
 
-# ---------------------------------------------------------------------------
-# verification sweeps
-
-
-def _generators_out(n, xy):
-    return [(kind, s) for kind, s, _ in box_arrow_targets(n, xy)]
-
-
 def leibniz_defect(n, xy, kind, t):
     """d(m x r) + d(m) x r + m x d(r) as a chain map; zero iff Leibniz holds."""
     chain = right_act_chainmap(n, xy, kind, t)
@@ -212,46 +201,6 @@ def leibniz_defect(n, xy, kind, t):
         )
         defect = mat_add(defect, via_x.entries, via_y.entries)
     return ChainMap(chain.source, chain.target, defect)
-
-
-def _check_pair(n, xy, failures):
-    """Every generator out of (x, y) acts by a chain map of its degree that
-    satisfies Leibniz; identified length-2 paths act identically.  T(x, y)
-    itself is verified by t_pair, which raises if it is invalid.  Returns the
-    number of checks."""
-    checks = 0
-    for kind, t in _generators_out(n, xy):
-        chain = right_act_chainmap(n, xy, kind, t)
-        deg = (arrow_qdeg(n, kind, t), arrow_cohdeg(kind))
-        witness = map_violation(chain.source, chain.target, chain.entries, deg)
-        if witness is not None:
-            failures.append(f"{vx.fmt_pair(xy)} {kind}{t}: {witness}")
-        if leibniz_defect(n, xy, kind, t).entries:
-            failures.append(f"{vx.fmt_pair(xy)} {kind}{t}: Leibniz fails")
-        checks += 2
-    for k1, s1 in _generators_out(n, xy):
-        mid = apply_arrow(xy, k1, s1)
-        for k2, s2 in _generators_out(n, mid):
-            if canonical(((k1, s1), (k2, s2))) != canonical(((k2, s2), (k1, s1))):
-                continue
-            checks += 1
-            one = act_path(n, xy, ((k1, s1), (k2, s2)))
-            two = act_path(n, xy, ((k2, s2), (k1, s1)))
-            if one.entries != two.entries:
-                failures.append(
-                    f"{vx.fmt_pair(xy)}: {k1}{s1}.{k2}{s2} != {k2}{s2}.{k1}{s1}"
-                )
-    return checks
-
-
-def verify_bimodule(n):
-    """Sweep the bimodule axioms over every vertex pair; returns
-    (failures, checks) like the sweeps of cliffcat.checks."""
-    failures, checks = [], 0
-    for x in vx.all_vertices(n):
-        for y in vx.all_vertices(n):
-            checks += _check_pair(n, (x, y), failures)
-    return failures, checks
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The generators E and F lift to direct sums of single projectives; a word over
 {One, Q, Qinv, E, F} lifts by folding the composite product rho (tensor over
 the ground field, lift to the DG thickening, tensor with the bimodule) over a
-chosen association tree.  On Grothendieck classes rho is the vertex product.
+chosen association tree.  On Grothendieck classes rho is the vertex product;
+cliffcat.checks sweeps that, the unit laws and the squared-generator shape.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .bimodule import tensor_T
 from .complexes import (
     RAlgebraOps,
     direct_sum,
-    k0_class,
     lift_to_box,
     projective,
     tensor_f2,
@@ -160,47 +160,3 @@ def lift_word(n, word):
         else:
             todo += (None, t[1], t[0])
     return done[0]
-
-
-# ---------------------------------------------------------------------------
-# structural checks
-
-
-def unit_law_check(n, c):
-    """rho(c, P([])) and rho(P([]), c) equal c, summand for summand and entry
-    for entry."""
-    unit = projective(RAlgebraOps(n), 0)
-    failures = []
-    for side, got in (("right", rho(c, unit)), ("left", rho(unit, c))):
-        if got.summands != c.summands or got.delta != c.delta:
-            failures.append(f"{side} unit law fails")
-    return failures
-
-
-def ee_shape_check(n):
-    """The squared-generator complexes: two equal slices, zero differential.
-
-    Lifting EE (resp. FF) must give summands at positions -1 and 0, each the
-    sum of P([i,j]) over same-parity i > j, with no delta entries and a zero
-    class in K0.  Returns a list of failure strings.
-    """
-    failures = []
-    for name, parity in (("EE", 0), ("FF", 1)):
-        c = lift_word(n, Word((name[0], name[0])))
-        want_verts = sorted(
-            vx.from_seq((i, j))
-            for i in range(parity, n + 1, 2)
-            for j in range(parity, i, 2)
-        )
-        for pos in (-1, 0):
-            got = sorted(s.vertex for s in c.summands if s.cohshift == pos)
-            if got != want_verts:
-                failures.append(f"{name}: slice {pos} summands differ")
-        extra = [s for s in c.summands if s.cohshift not in (-1, 0)]
-        if extra:
-            failures.append(f"{name}: unexpected slice positions")
-        if c.delta:
-            failures.append(f"{name}: differential not zero")
-        if k0_class(c):
-            failures.append(f"{name}: K0 class not zero")
-    return failures

@@ -3,8 +3,8 @@
 Every ``*_failures`` sweep returns ``(failures, checks)``: the failure witnesses (empty
 when the invariant holds) and the number of comparisons it evaluated.  The
 verification suites of the command line tool and the acceptance tests both
-call these functions, so the two always check the same things.  Library
-modules do not import this one.
+call these functions, so the two always check the same things, and no
+other module defines a sweep.  Library modules do not import this one.
 """
 
 from __future__ import annotations
@@ -284,6 +284,65 @@ def t_pair_k0_failures(n):
     return failures, checks
 
 
+def _generators_out(n, xy):
+    return [(kind, s) for kind, s, _ in qv.box_arrow_targets(n, xy)]
+
+
+def _check_pair(n, xy, failures):
+    """Every generator out of (x, y) acts by a chain map of its degree that
+    satisfies Leibniz; identified length-2 paths act identically.  T(x, y)
+    itself is verified by t_pair, which raises if it is invalid.  Returns the
+    number of checks."""
+    checks = 0
+    for kind, t in _generators_out(n, xy):
+        chain = bm.right_act_chainmap(n, xy, kind, t)
+        deg = (qv.arrow_qdeg(n, kind, t), qv.arrow_cohdeg(kind))
+        witness = cx.map_violation(chain.source, chain.target, chain.entries, deg)
+        if witness is not None:
+            failures.append(f"{vx.fmt_pair(xy)} {kind}{t}: {witness}")
+        if bm.leibniz_defect(n, xy, kind, t).entries:
+            failures.append(f"{vx.fmt_pair(xy)} {kind}{t}: Leibniz fails")
+        checks += 2
+    for k1, s1 in _generators_out(n, xy):
+        mid = bx.apply_arrow(xy, k1, s1)
+        for k2, s2 in _generators_out(n, mid):
+            if bx.canonical(((k1, s1), (k2, s2))) != bx.canonical(((k2, s2), (k1, s1))):
+                continue
+            checks += 1
+            one = bm.act_path(n, xy, ((k1, s1), (k2, s2)))
+            two = bm.act_path(n, xy, ((k2, s2), (k1, s1)))
+            if one.entries != two.entries:
+                failures.append(
+                    f"{vx.fmt_pair(xy)}: {k1}{s1}.{k2}{s2} != {k2}{s2}.{k1}{s1}"
+                )
+    return checks
+
+
+def bimodule_failures(n):
+    """The bimodule axioms of _check_pair on every vertex pair.
+
+    The left action is componentwise left multiplication, and every entry of
+    a right action is right multiplication by an element of the base
+    algebra, so left R-linearity holds by construction and is not swept:
+    (a.m) x r = a.(m x r) is associativity of the base algebra."""
+    failures, checks = [], 0
+    for x in vx.all_vertices(n):
+        for y in vx.all_vertices(n):
+            checks += _check_pair(n, (x, y), failures)
+    return failures, checks
+
+
+def unit_law_check(n, c):
+    """rho(c, P([])) and rho(P([]), c) equal c, summand for summand and entry
+    for entry."""
+    unit = cx.projective(cx.RAlgebraOps(n), 0)
+    failures = []
+    for side, got in (("right", cu.rho(c, unit)), ("left", cu.rho(unit, c))):
+        if got.summands != c.summands or got.delta != c.delta:
+            failures.append(f"{side} unit law fails")
+    return failures
+
+
 def letter_failures(n):
     """The E and F complexes: K0 is the letter's image, and the unit laws."""
     failures, checks = [], 0
@@ -292,8 +351,36 @@ def letter_failures(n):
         c = cu.letter_complex(n, letter)
         if cx.k0_class(c) != kz.iota_letter(n, letter):
             failures.append(f"n={n}: k0 of {letter}")
-        failures += [f"n={n}: {letter}: {msg}" for msg in cu.unit_law_check(n, c)]
+        failures += [f"n={n}: {letter}: {msg}" for msg in unit_law_check(n, c)]
     return failures, checks
+
+
+def ee_shape_failures(n):
+    """The squared-generator complexes: two equal slices, zero differential.
+
+    Lifting EE (resp. FF) must give summands at positions -1 and 0, each the
+    sum of P([i,j]) over same-parity i > j, with no delta entries and a zero
+    class in K0.  One check each for EE and FF."""
+    failures = []
+    for name, parity in (("EE", 0), ("FF", 1)):
+        c = cu.lift_word(n, cu.Word((name[0], name[0])))
+        want_verts = sorted(
+            vx.from_seq((i, j))
+            for i in range(parity, n + 1, 2)
+            for j in range(parity, i, 2)
+        )
+        for pos in (-1, 0):
+            got = sorted(s.vertex for s in c.summands if s.cohshift == pos)
+            if got != want_verts:
+                failures.append(f"n={n}: {name}: slice {pos} summands differ")
+        extra = [s for s in c.summands if s.cohshift not in (-1, 0)]
+        if extra:
+            failures.append(f"n={n}: {name}: unexpected slice positions")
+        if c.delta:
+            failures.append(f"n={n}: {name}: differential not zero")
+        if cx.k0_class(c):
+            failures.append(f"n={n}: {name}: K0 class not zero")
+    return failures, 2
 
 
 def all_trees(lo, hi):

@@ -22,15 +22,17 @@ from . import quiver as qv
 from . import ralgebra as ra
 from . import vertices as vx
 
-# default n caps per suite, tuned so `verify --suite all` stays at desk scale
-SUITE_BOUNDS = {
-    "quiver": 5,
-    "algebra": 4,
-    "box": 4,
-    "clifford": 5,
-    "kzero": 5,
-    "bimodule": 5,
-    "catun": 5,
+# each suite's default n cap, tuned so `verify --suite all` stays at desk
+# scale, and its sweeps from cliffcat.checks
+SUITES = {
+    "quiver": (5, [ck.quiver_failures]),
+    "algebra": (4, [ck.oracle_failures]),
+    "box": (4, [ck.box_dg_failures, ck.box_formality_failures]),
+    "clifford": (5, [ck.clifford_failures]),
+    "kzero": (5, [ck.local_lemma_failures, ck.single_letter_failures,
+                  ck.associativity_failures]),
+    "bimodule": (5, [ck.bimodule_failures, ck.t_pair_k0_failures]),
+    "catun": (5, [ck.ee_shape_failures, ck.letter_failures, ck.word_lift_failures]),
 }
 MAX_N = 10  # the largest n of any suite or benchmark workload (2^(n+1) vertices)
 
@@ -48,74 +50,16 @@ class SuiteReport:
         return not self.failures
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _report(suite, n, *results):
-    """A SuiteReport summing (failures, checks) results of cliffcat.checks."""
-    rep = SuiteReport(suite, n)
-    for failures, checks in results:
+def run_suite(name, n, bound_override=False):
+    """Run a suite's sweeps at n, capped unless bound_override, summing
+    their (failures, checks)."""
+    cap, sweeps = SUITES[name]
+    rep = SuiteReport(name, n if bound_override else min(n, cap))
+    t0 = time.time()
+    for sweep in sweeps:
+        failures, checks = sweep(rep.n)
         rep.failures += failures
         rep.checks += checks
-    return rep
-
-
-def suite_quiver(n):
-    return _report("quiver", n, ck.quiver_failures(n))
-
-
-def suite_algebra(n):
-    return _report("algebra", n, ck.oracle_failures(n))
-
-
-def suite_box(n):
-    return _report("box", n, ck.box_dg_failures(n), ck.box_formality_failures(n))
-
-
-def suite_clifford(n):
-    return _report("clifford", n, ck.clifford_failures(n))
-
-
-def suite_kzero(n):
-    return _report(
-        "kzero", n,
-        ck.local_lemma_failures(n),
-        ck.single_letter_failures(n),
-        ck.associativity_failures(n),
-    )
-
-
-def suite_bimodule(n):
-    return _report("bimodule", n, bm.verify_bimodule(n), ck.t_pair_k0_failures(n))
-
-
-def suite_catun(n):
-    return _report(
-        "catun", n,
-        (cu.ee_shape_check(n), 2),
-        ck.letter_failures(n),
-        ck.word_lift_failures(n),
-    )
-
-
-SUITES = {
-    "quiver": suite_quiver,
-    "algebra": suite_algebra,
-    "box": suite_box,
-    "clifford": suite_clifford,
-    "kzero": suite_kzero,
-    "bimodule": suite_bimodule,
-    "catun": suite_catun,
-}
-
-
-def run_suite(name, n, bound_override=False):
-    bound = SUITE_BOUNDS[name]
-    if n > bound and not bound_override:
-        n = bound
-    t0 = time.time()
-    rep = SUITES[name](n)
     rep.seconds = round(time.time() - t0, 3)
     return rep
 

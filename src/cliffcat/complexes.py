@@ -34,17 +34,9 @@ class RAlgebraOps:
     def __init__(self, n):
         self.n = n
 
-    def mono_source(self, m):
-        return m[0]
-
-    def mono_target(self, m):
-        return m[1]
-
-    def mono_qdeg(self, m):
-        return ra.mono_qdeg_r(self.n, m)
-
-    def mono_cohdeg(self, m):
-        return 0
+    def degrees(self, m):
+        """(qdeg, cohdeg, source, target) of a monomial."""
+        return ra.mono_qdeg_r(self.n, m), 0, m[0], m[1]
 
     def mult(self, a, b):
         return ra.mult_r(self.n, a, b)
@@ -77,17 +69,10 @@ class RRAlgebraOps:
     def __init__(self, n):
         self.n = n
 
-    def mono_source(self, m):
-        return (m[0][0], m[1][0])
-
-    def mono_target(self, m):
-        return (m[0][1], m[1][1])
-
-    def mono_qdeg(self, m):
-        return ra.mono_qdeg_r(self.n, m[0]) + ra.mono_qdeg_r(self.n, m[1])
-
-    def mono_cohdeg(self, m):
-        return 0
+    def degrees(self, m):
+        left, right = m
+        qdeg = ra.mono_qdeg_r(self.n, left) + ra.mono_qdeg_r(self.n, right)
+        return qdeg, 0, (left[0], right[0]), (left[1], right[1])
 
     def mult(self, a, b):
         return ra.mult_rr(self.n, a, b)
@@ -119,17 +104,8 @@ class BoxAlgebraOps:
         self.n = n
         self.algebra = box_algebra(n)
 
-    def mono_source(self, m):
-        return m[0]
-
-    def mono_target(self, m):
-        return path_target(m[0], m[1])
-
-    def mono_qdeg(self, m):
-        return _box_degrees(self.n, m[1])[0]
-
-    def mono_cohdeg(self, m):
-        return _box_degrees(self.n, m[1])[1]
+    def degrees(self, m):
+        return (*_box_degrees(self.n, m[1]), m[0], path_target(m[0], m[1]))
 
     def mult(self, a, b):
         return self.algebra.mult(a, b)
@@ -210,10 +186,7 @@ def zero_complex(ops):
 
 def entry_degrees(ops, e):
     """(qdeg, cohdeg, source, target) of a homogeneous element; raises if mixed."""
-    degs = {
-        (ops.mono_qdeg(m), ops.mono_cohdeg(m), ops.mono_source(m), ops.mono_target(m))
-        for m in e
-    }
+    degs = {ops.degrees(m) for m in e}
     if len(degs) != 1:
         raise ValueError(f"inhomogeneous entry: {sorted(map(ops.fmt_mono, e))}")
     return next(iter(degs))

@@ -8,17 +8,13 @@ Python integers are arbitrary precision, so no overflow handling is needed.
 from __future__ import annotations
 
 
-def _trim(coeffs):
-    return {e: c for e, c in coeffs.items() if c != 0}
-
-
 class LaurentZ:
     """Laurent polynomial in q with integer coefficients, dict {exp: coeff}."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = _trim(dict(coeffs or {}))
+        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
 
     @classmethod
     def unit(cls):
@@ -82,7 +78,7 @@ class LaurentZH:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = _trim(dict(coeffs or {}))
+        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
 
     @classmethod
     def unit(cls):

@@ -35,19 +35,13 @@ class Quiver:
     n: int
     vertices: list = field(repr=False)
     out_arrows: dict = field(repr=False)  # vertex -> [(s, target)]
-    in_arrows: dict = field(repr=False)  # vertex -> [(s, source)]
 
 
 def build_gamma(n):
     if n <= 0:
         raise ValueError("n must be positive")
     verts = list(vx.all_vertices(n))
-    out_arrows = {v: arrow_targets(n, v) for v in verts}
-    in_arrows = {v: [] for v in verts}
-    for v, arrs in out_arrows.items():
-        for s, w in arrs:
-            in_arrows[w].append((s, v))
-    return Quiver(n, verts, out_arrows, in_arrows)
+    return Quiver(n, verts, {v: arrow_targets(n, v) for v in verts})
 
 
 def components(q):

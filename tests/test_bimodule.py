@@ -3,6 +3,7 @@
 import pytest
 
 from cliffcat import bimodule as bm
+from cliffcat import checks as ck
 from cliffcat import kzero as kz
 from cliffcat import ralgebra as ra
 from cliffcat import vertices as vx
@@ -78,7 +79,7 @@ def test_leibniz_all_generators_n2():
     n = 2
     for x in vx.all_vertices(n):
         for y in vx.all_vertices(n):
-            for kind, t in bm._generators_out(n, (x, y)):
+            for kind, t in ck._generators_out(n, (x, y)):
                 defect = bm.leibniz_defect(n, (x, y), kind, t)
                 assert not defect.entries, (vx.fmt_pair((x, y)), kind, t)
 
@@ -126,24 +127,24 @@ def test_generator_degree_check_negative_control(monkeypatch, broken):
         lambda *args: mutated if args == (n, xy, YSIDE, 0) else real(*args),
     )
     failures = []
-    bm._check_pair(n, xy, failures)
+    ck._check_pair(n, xy, failures)
     prefix = f"{vx.fmt_pair(xy)} {YSIDE}0: "
     assert any(f.startswith(prefix) and want in f for f in failures), failures
 
 
 def test_verify_bimodule_small():
     for n in (1, 2):
-        failures, checks = bm.verify_bimodule(n)
+        failures, checks = ck.bimodule_failures(n)
         assert failures == [] and checks > (1 << (n + 1)) ** 2
 
 
 def test_verify_bimodule_n3():
-    assert bm.verify_bimodule(3)[0] == []
+    assert ck.bimodule_failures(3)[0] == []
 
 
 def test_verify_bimodule_n4():
     # every vertex pair, every generator entry, every left multiple
-    assert bm.verify_bimodule(4)[0] == []
+    assert ck.bimodule_failures(4)[0] == []
 
 
 def test_tensor_T_single_projective():

@@ -121,10 +121,13 @@ def test_broken_product_is_reported(monkeypatch):
 
 
 def test_verify_caps_n(capsys):
-    # bound capping keeps oversized n runnable
+    # bound capping keeps oversized n runnable; --bound-override lifts the cap
     code, out = run(capsys, "verify", "--n", "9", "--suite", "catun")
     assert code == 0
     assert "n=5" in out
+    code, out = run(capsys, "verify", "--n", "6", "--suite", "quiver", "--bound-override")
+    assert code == 0
+    assert "n=6" in out
 
 
 def test_usage_errors(capsys):
