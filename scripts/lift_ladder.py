@@ -4,7 +4,9 @@
 Each row gives n, k, the summands and differential entries of the lifted
 complex, and the wall time of the lift.  Rows run in one process in the
 order printed, so a row reuses the caches (T(x, y), box classes, right
-actions) that earlier rows at the same n filled.
+actions, per-entry maps) that earlier rows filled.  After the rows of each
+n, one line gives the entry count of each memo of the rho pipeline, summed
+over every n so far.
 
 Usage: PYTHONPATH=src python scripts/lift_ladder.py
 """
@@ -12,7 +14,19 @@ Usage: PYTHONPATH=src python scripts/lift_ladder.py
 import sys
 import time
 
+from cliffcat import bimodule as bm
 from cliffcat import catun as cu
+from cliffcat import complexes as cx
+
+MEMOS = {
+    "entry_degrees": cx._entry_degrees,
+    "box_mult": cx._box_mult,
+    "box_diff": cx._box_diff,
+    "lift_entry": cx._lift_entry,
+    "act_element": bm.act_element,
+    "act_path": bm.act_path,
+    "t_pair": bm.t_pair,
+}
 
 
 def main():
@@ -23,6 +37,8 @@ def main():
             c = cu.lift_word(n, cu.parse_word("EF" * k))
             secs = time.perf_counter() - t0
             print(f"{n:>2} {k:>2} {len(c.summands):>9} {len(c.delta):>9} {secs:>8.3f}")
+        sizes = ", ".join(f"{name} {memo.cache_info().currsize}" for name, memo in MEMOS.items())
+        print(f"   memo entries: {sizes}")
     return 0
 
 

@@ -119,14 +119,13 @@ def right_act_chainmap(n, xy, kind, t):
     tgt_pair, f, uses_gen, dslice = _case_data(n, xy, kind, t)
     src = t_pair(n, *xy)
     tgt = t_pair(n, *tgt_pair)
-    tgt_pd = kz.pair_data(*tgt_pair)
     entries = {}
     for i, (k, A, e, mon) in enumerate(src.slices):
         fa = frozenset(f(A))
         j = tgt.index.get(fa)
         if j is None:
             continue
-        kt, _, et, mon_t = tgt.slices[j]
+        kt, _, _, mon_t = tgt.slices[j]
         if kt != k + dslice:
             raise AssertionError(f"{kind}{t} moves slice {k} to {kt}, not by {dslice}")
         if uses_gen:
@@ -176,8 +175,12 @@ def act_path(n, source_pair, arrows):
     return chain
 
 
+@lru_cache(maxsize=None)
 def act_element(n, elem):
-    """Chain map of an F2 combination of boxed monomials with common endpoints."""
+    """Chain map of an F2 combination of boxed monomials with common endpoints.
+
+    Memoized on (n, elem), as act_path is: callers must not mutate the
+    returned ChainMap.  tensor_T only reads its entries."""
     chains = [act_path(n, src, arrows) for src, arrows in elem]
     out = chains[0]
     for c in chains[1:]:
@@ -185,19 +188,21 @@ def act_element(n, elem):
     return out
 
 
-def leibniz_defect(n, xy, kind, t):
-    """d(m x r) + d(m) x r + m x d(r) as a chain map; zero iff Leibniz holds."""
-    chain = right_act_chainmap(n, xy, kind, t)
+def leibniz_defect(n, xy, kind, t, act=None):
+    """d(m x r) + d(m) x r + m x d(r) as a chain map; zero iff Leibniz holds.
+
+    act(n, xy, kind, t) gives a generator's chain map, right_act_chainmap by
+    default; a sweep passes its own memo so that each map is built once."""
+    act = act or right_act_chainmap
+    chain = act(n, xy, kind, t)
     defect = chain_map_defect(chain)
     if kind == DIAG:
         x, y = xy
         via_x = compose_chainmaps(
-            right_act_chainmap(n, xy, XSIDE, t),
-            right_act_chainmap(n, (x | pair_mask(t), y), YSIDE, t + 1),
+            act(n, xy, XSIDE, t), act(n, (x | pair_mask(t), y), YSIDE, t + 1)
         )
         via_y = compose_chainmaps(
-            right_act_chainmap(n, xy, YSIDE, t + 1),
-            right_act_chainmap(n, (x, y | pair_mask(t + 1)), XSIDE, t),
+            act(n, xy, YSIDE, t + 1), act(n, (x, y | pair_mask(t + 1)), XSIDE, t)
         )
         defect = mat_add(defect, via_x.entries, via_y.entries)
     return ChainMap(chain.source, chain.target, defect)

@@ -10,6 +10,7 @@ other module defines a sweep.  Library modules do not import this one.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import product
 
 from . import bimodule as bm
@@ -288,19 +289,21 @@ def _generators_out(n, xy):
     return [(kind, s) for kind, s, _ in qv.box_arrow_targets(n, xy)]
 
 
-def _check_pair(n, xy, failures):
+def _check_pair(n, xy, failures, act=None):
     """Every generator out of (x, y) acts by a chain map of its degree that
     satisfies Leibniz; identified length-2 paths act identically.  T(x, y)
-    itself is verified by t_pair, which raises if it is invalid.  Returns the
-    number of checks."""
+    itself is verified by t_pair, which raises if it is invalid.  act(n, xy,
+    kind, t) gives a generator's chain map, bm.right_act_chainmap by default.
+    Returns the number of checks."""
+    act = act or bm.right_act_chainmap
     checks = 0
     for kind, t in _generators_out(n, xy):
-        chain = bm.right_act_chainmap(n, xy, kind, t)
+        chain = act(n, xy, kind, t)
         deg = (qv.arrow_qdeg(n, kind, t), qv.arrow_cohdeg(kind))
         witness = cx.map_violation(chain.source, chain.target, chain.entries, deg)
         if witness is not None:
             failures.append(f"{vx.fmt_pair(xy)} {kind}{t}: {witness}")
-        if bm.leibniz_defect(n, xy, kind, t).entries:
+        if bm.leibniz_defect(n, xy, kind, t, act).entries:
             failures.append(f"{vx.fmt_pair(xy)} {kind}{t}: Leibniz fails")
         checks += 2
     for k1, s1 in _generators_out(n, xy):
@@ -309,8 +312,9 @@ def _check_pair(n, xy, failures):
             if bx.canonical(((k1, s1), (k2, s2))) != bx.canonical(((k2, s2), (k1, s1))):
                 continue
             checks += 1
-            one = bm.act_path(n, xy, ((k1, s1), (k2, s2)))
-            two = bm.act_path(n, xy, ((k2, s2), (k1, s1)))
+            one = bm.compose_chainmaps(act(n, xy, k1, s1), act(n, mid, k2, s2))
+            via = bx.apply_arrow(xy, k2, s2)
+            two = bm.compose_chainmaps(act(n, xy, k2, s2), act(n, via, k1, s1))
             if one.entries != two.entries:
                 failures.append(
                     f"{vx.fmt_pair(xy)}: {k1}{s1}.{k2}{s2} != {k2}{s2}.{k1}{s1}"
@@ -324,11 +328,16 @@ def bimodule_failures(n):
     The left action is componentwise left multiplication, and every entry of
     a right action is right multiplication by an element of the base
     algebra, so left R-linearity holds by construction and is not swept:
-    (a.m) x r = a.(m x r) is associativity of the base algebra."""
+    (a.m) x r = a.(m x r) is associativity of the base algebra.
+
+    Each (pair, generator) chain map is built once per sweep, in a memo that
+    dies with it: a word lift never asks for the same map twice, so a global
+    memo would only hold memory."""
     failures, checks = [], 0
+    act = lru_cache(maxsize=None)(bm.right_act_chainmap)
     for x in vx.all_vertices(n):
         for y in vx.all_vertices(n):
-            checks += _check_pair(n, (x, y), failures)
+            checks += _check_pair(n, (x, y), failures, act)
     return failures, checks
 
 

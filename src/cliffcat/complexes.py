@@ -108,10 +108,10 @@ class BoxAlgebraOps:
         return (*_box_degrees(self.n, m[1]), m[0], path_target(m[0], m[1]))
 
     def mult(self, a, b):
-        return self.algebra.mult(a, b)
+        return _box_mult(self.n, a, b)
 
     def diff(self, a):
-        return self.algebra.diff(a)
+        return _box_diff(self.n, a)
 
     def mono_json(self, m):
         (x, y), arrows = m
@@ -151,6 +151,22 @@ def _box_degrees(n, arrows):
     return alg.qdeg(arrows), alg.cohdeg(arrows)
 
 
+# Box products and differentials are memoized on (n, entry), as are
+# entry_degrees and lift_to_box's section: a word lift meets few distinct
+# entries, each many times.  Entries are frozensets, which cache their
+# hashes, and every result is immutable.
+
+
+@lru_cache(maxsize=None)
+def _box_mult(n, a, b):
+    return box_algebra(n).mult(a, b)
+
+
+@lru_cache(maxsize=None)
+def _box_diff(n, a):
+    return box_algebra(n).diff(a)
+
+
 _OPS = {"R": RAlgebraOps, "RR": RRAlgebraOps, "Box": BoxAlgebraOps}
 
 
@@ -186,6 +202,13 @@ def zero_complex(ops):
 
 def entry_degrees(ops, e):
     """(qdeg, cohdeg, source, target) of a homogeneous element; raises if mixed."""
+    return _entry_degrees(ops.tag, ops.n, e)
+
+
+@lru_cache(maxsize=None)
+def _entry_degrees(tag, n, e):
+    """entry_degrees, memoized; lru_cache does not cache the mixed-entry raise."""
+    ops = _OPS[tag](n)
     degs = {ops.degrees(m) for m in e}
     if len(degs) != 1:
         raise ValueError(f"inhomogeneous entry: {sorted(map(ops.fmt_mono, e))}")
@@ -370,28 +393,25 @@ def direct_sum(a, b):
 def tensor_f2(m, nc):
     """Tensor two complexes over R into one over the tensor square.
 
+    The summand P(v_i) (x) P(w_j) sits at i * w + j, w = len(nc.summands).
     The result is unchecked: lift_to_box, its one consumer, checks it."""
-    n = m.ops.n
-    ops = RRAlgebraOps(n)
-    pairs = [(i, j) for i in range(len(m.summands)) for j in range(len(nc.summands))]
-    index = {p: k for k, p in enumerate(pairs)}
-    summands = []
-    for i, j in pairs:
-        si, sj = m.summands[i], nc.summands[j]
-        summands.append(
-            Summand((si.vertex, sj.vertex), si.qshift + sj.qshift, si.cohshift + sj.cohshift)
-        )
+    w = len(nc.summands)
+    summands = [
+        Summand((si.vertex, sj.vertex), si.qshift + sj.qshift, si.cohshift + sj.cohshift)
+        for si in m.summands
+        for sj in nc.summands
+    ]
     left = {}
     for (j, i), e in m.delta.items():
-        for j2 in range(len(nc.summands)):
-            ident = (nc.summands[j2].vertex, nc.summands[j2].vertex)
-            left[(index[(j, j2)], index[(i, j2)])] = frozenset((mo, ident) for mo in e)
+        for j2, sj in enumerate(nc.summands):
+            ident = (sj.vertex, sj.vertex)
+            left[(j * w + j2, i * w + j2)] = frozenset((mo, ident) for mo in e)
     right = {}
     for (j, i), e in nc.delta.items():
-        for i2 in range(len(m.summands)):
-            ident = (m.summands[i2].vertex, m.summands[i2].vertex)
-            right[(index[(i2, j)], index[(i2, i)])] = frozenset((ident, mo) for mo in e)
-    return ProjComplex(ops, summands, mat_add(left, right))
+        for i2, si in enumerate(m.summands):
+            ident = (si.vertex, si.vertex)
+            right[(i2 * w + j, i2 * w + i)] = frozenset((ident, mo) for mo in e)
+    return ProjComplex(RRAlgebraOps(m.ops.n), summands, mat_add(left, right))
 
 
 MAX_LIFT_ROUNDS = 10
@@ -415,9 +435,7 @@ def lift_to_box(c):
     n = c.ops.n
     ops = BoxAlgebraOps(n)
     alg = ops.algebra
-    delta = {}
-    for (j, i), e in c.delta.items():
-        delta[(j, i)] = frozenset(alg.section_rr(mo) for mo in e)
+    delta = {key: _lift_entry(n, e) for key, e in c.delta.items()}
     out = ProjComplex(ops, c.summands, delta)
     for _ in range(MAX_LIFT_ROUNDS):
         residual = delta_square(out)
@@ -458,6 +476,13 @@ def lift_to_box(c):
     if witness is not None:
         raise LiftError(witness)
     return out
+
+
+@lru_cache(maxsize=None)
+def _lift_entry(n, e):
+    """An RR entry lifted monomial by monomial through the section."""
+    alg = box_algebra(n)
+    return frozenset(alg.section_rr(mo) for mo in e)
 
 
 # ---------------------------------------------------------------------------

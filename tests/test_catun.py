@@ -1,5 +1,7 @@
 """Word liftings, unit laws, and the squared-generator shape."""
 
+import json
+
 import pytest
 
 from cliffcat import catun as cu
@@ -98,6 +100,55 @@ def test_rho_checks_contract_twice(monkeypatch):
     monkeypatch.setattr(cx, "contract_violation", lambda c: calls.append(c) or real(c))
     cu.rho(E, F)
     assert len(calls) == 2
+
+
+# every memo that a rho step passes its entries through
+RHO_MEMOS = [
+    (cx, "_entry_degrees"),
+    (cx, "_box_mult"),
+    (cx, "_box_diff"),
+    (cx, "_lift_entry"),
+    (bm, "act_element"),
+]
+
+
+def _memo_view(value):
+    """A memo result as comparable data; a ChainMap compares by identity."""
+    if isinstance(value, cx.ChainMap):
+        src, tgt = value.source, value.target
+        return src.ops.n, src.summands, tgt.summands, value.entries
+    return value
+
+
+def test_rho_memos_match_fresh_computation(monkeypatch):
+    # every word in WORDS under every tree at n <= 3: each memoized value a
+    # lift reads equals a fresh computation, and lifting twice gives the same
+    # JSON, so no caller mutates a cached object.  Box products are only met
+    # where both factors of a rho step have a differential, as in (EF)(EF),
+    # so four words of length 4 join WORDS.
+    words = ck.WORDS + [tuple(w) for w in ("EFEF", "FEFE", "EEFF", "EFFE")]
+    memos, seen = {}, {}
+    for mod, name in RHO_MEMOS:
+        memo = memos[name] = getattr(mod, name)
+        calls = seen[name] = {}
+
+        def record(*args, memo=memo, calls=calls):
+            calls[args] = out = memo(*args)
+            return out
+
+        monkeypatch.setattr(mod, name, record)
+    for n in (1, 2, 3):
+        for w in words:
+            for tree in ck.all_trees(0, len(w)):
+                word = cu.Word(w, tree)
+                first = json.dumps(cx.complex_to_json(cu.lift_word(n, word)))
+                second = json.dumps(cx.complex_to_json(cu.lift_word(n, word)))
+                assert first == second, (n, w, tree)
+    for name, calls in seen.items():
+        assert calls, f"no lift read {name}"
+        fresh = memos[name].__wrapped__
+        for args, out in calls.items():
+            assert _memo_view(out) == _memo_view(fresh(*args)), (name, args)
 
 
 def test_rho_k0_multiplicative():
