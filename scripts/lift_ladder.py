@@ -24,7 +24,6 @@ MEMOS = {
     "box_diff": cx._box_diff,
     "lift_entry": cx._lift_entry,
     "act_element": bm.act_element,
-    "act_path": bm.act_path,
     "t_pair": bm.t_pair,
 }
 

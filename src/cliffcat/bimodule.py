@@ -4,11 +4,13 @@ For each pair of vertices (x, y) there is a complex T(x, y) whose slice at
 cohomological position k collects the summands P(M_A){eta(A)} over subsets A
 of the adjacent-pair indices with |A| = k - mu; the differential resolves one
 more pair at a time.  The right action of the thickened tensor-square algebra
-is defined generator by generator through an index map f on subsets and a
-factor in the base algebra (a pair-insertion generator or an idempotent),
-following an eight-way case split on the memberships of the inserted pair's
-neighbors.  The left action is componentwise left multiplication.  The
-bimodule axioms are swept by cliffcat.checks.bimodule_failures.
+is defined generator by generator through an index map on subsets (shift
+the indices above a cut, perhaps add one) and a factor in the base algebra
+(a pair-insertion generator or an idempotent), both read off the
+memberships of the inserted pair's two neighbors.  A boxed element acts by
+the entries of the fold of its generators' maps, which is all tensor_T
+reads.  The left action is componentwise left multiplication.  The bimodule
+axioms are swept by cliffcat.checks.bimodule_failures.
 """
 
 from __future__ import annotations
@@ -78,51 +80,38 @@ def t_pair(n, x, y):
 # the right action of one generator
 
 
-def _shifted(A, cut, step):
-    return frozenset(a if a <= cut else a + step for a in A)
-
-
 def _case_data(n, xy, kind, t):
-    """(target pair, index map, uses_generator, slice shift) for one generator."""
+    """(target pair, a_t, step, added, uses_generator, slice shift) of one
+    generator: it maps the summand of A to that of A with every index above
+    a_t raised by step, plus the indices in added.
+
+    Y side (lower: t-1 in x, upper: t in x): it adds a_t + step iff lower is
+    set and uses the generator iff upper is unset.  X side (lower: t+1 in y,
+    upper: t+2 in y): it adds a_t + 1 iff upper is set and uses the
+    generator iff lower is unset.  On both, step = lower + upper."""
     x, y = xy
-    pd = kz.pair_data(x, y)
-    a_t = sum(1 for s in pd.s if s > t)
+    a_t = sum(1 for s in kz.pair_data(x, y).s if s > t)
+    if kind == DIAG:
+        return (x | pair_mask(t), y | pair_mask(t + 1)), a_t, 2, frozenset(), False, -1
     if kind == YSIDE:
-        lower = bool(x >> (t - 1) & 1) if t >= 1 else False  # t-1 in x
-        upper = bool(x >> t & 1)  # t in x
-        tgt = (x, y | pair_mask(t))
-        if not lower and not upper:
-            return tgt, (lambda A: _shifted(A, a_t, 0)), True, 0
-        if not lower and upper:
-            return tgt, (lambda A: _shifted(A, a_t, 1)), False, 0
-        if lower and not upper:
-            return tgt, (lambda A: _shifted(A, a_t, 1) | {a_t + 1}), True, 0
-        return tgt, (lambda A: _shifted(A, a_t, 2) | {a_t + 2}), False, 0
-    if kind == XSIDE:
-        lower = bool(y >> (t + 1) & 1)  # t+1 in y
-        upper = bool(y >> (t + 2) & 1)  # t+2 in y
-        tgt = (x | pair_mask(t), y)
-        if not lower and not upper:
-            return tgt, (lambda A: _shifted(A, a_t, 0)), True, 0
-        if lower and not upper:
-            return tgt, (lambda A: _shifted(A, a_t, 1)), False, 0
-        if not lower and upper:
-            return tgt, (lambda A: _shifted(A, a_t, 1) | {a_t + 1}), True, 0
-        return tgt, (lambda A: _shifted(A, a_t, 2) | {a_t + 1}), False, 0
-    # diagonal generator
-    tgt = (x | pair_mask(t), y | pair_mask(t + 1))
-    return tgt, (lambda A: _shifted(A, a_t, 2)), False, -1
+        lower, upper = t >= 1 and bool(x >> (t - 1) & 1), bool(x >> t & 1)
+        step = lower + upper
+        added = [a_t + step] if lower else []
+        return (x, y | pair_mask(t)), a_t, step, frozenset(added), not upper, 0
+    lower, upper = bool(y >> (t + 1) & 1), bool(y >> (t + 2) & 1)
+    step = lower + upper
+    added = [a_t + 1] if upper else []
+    return (x | pair_mask(t), y), a_t, step, frozenset(added), not lower, 0
 
 
 def right_act_chainmap(n, xy, kind, t):
     """The chain map T(x,y) -> T(x',y') of one boxed-quiver generator."""
-    tgt_pair, f, uses_gen, dslice = _case_data(n, xy, kind, t)
+    tgt_pair, a_t, step, added, uses_gen, dslice = _case_data(n, xy, kind, t)
     src = t_pair(n, *xy)
     tgt = t_pair(n, *tgt_pair)
     entries = {}
     for i, (k, A, e, mon) in enumerate(src.slices):
-        fa = frozenset(f(A))
-        j = tgt.index.get(fa)
+        j = tgt.index.get(frozenset(a if a <= a_t else a + step for a in A) | added)
         if j is None:
             continue
         kt, _, _, mon_t = tgt.slices[j]
@@ -140,13 +129,6 @@ def right_act_chainmap(n, xy, kind, t):
     return ChainMap(src.complex, tgt.complex, entries)
 
 
-def identity_chainmap(tp):
-    entries = {
-        (i, i): frozenset([(mon, mon)]) for i, (_, _, _, mon) in enumerate(tp.slices)
-    }
-    return ChainMap(tp.complex, tp.complex, entries)
-
-
 def compose_chainmaps(f, g):
     """g after f (apply f's generator first)."""
     if f.target is not g.source and f.target.summands != g.source.summands:
@@ -154,46 +136,35 @@ def compose_chainmaps(f, g):
     return ChainMap(f.source, g.target, mat_then(f.source.ops.mult, f.entries, g.entries))
 
 
-def add_chainmaps(f, g):
-    return ChainMap(f.source, f.target, mat_add(f.entries, g.entries))
-
-
-@lru_cache(maxsize=None)
-def act_path(n, source_pair, arrows):
-    """Chain map of a boxed path, composed factor by factor.
-
-    Memoized on (n, source_pair, arrows): callers must not mutate the
-    returned ChainMap (add_chainmaps and compose_chainmaps build new ones).
-    """
-    chain = identity_chainmap(t_pair(n, *source_pair))
-    at = source_pair
-    for kind, s in arrows:
-        chain = compose_chainmaps(chain, right_act_chainmap(n, at, kind, s))
-        at = apply_arrow(at, kind, s)
-        if at is None:
-            raise AssertionError(f"arrow {kind}{s} does not apply along the path")
-    return chain
-
-
 @lru_cache(maxsize=None)
 def act_element(n, elem):
-    """Chain map of an F2 combination of boxed monomials with common endpoints.
+    """Entries of the right action of an F2 combination of boxed monomials
+    with common endpoints.
 
-    Memoized on (n, elem), as act_path is: callers must not mutate the
-    returned ChainMap.  tensor_T only reads its entries."""
-    chains = [act_path(n, src, arrows) for src, arrows in elem]
-    out = chains[0]
-    for c in chains[1:]:
-        out = add_chainmaps(out, c)
-    return out
+    Each monomial folds its generators' entries with mat_then, starting from
+    the identity of T(source); the monomials are summed with mat_add.
+    Memoized on (n, elem): callers must not mutate the returned dict."""
+    mult = RAlgebraOps(n).mult
+    paths = []
+    for at, arrows in elem:
+        entries = {
+            (i, i): frozenset([(mon, mon)])
+            for i, (_, _, _, mon) in enumerate(t_pair(n, *at).slices)
+        }
+        for kind, s in arrows:
+            entries = mat_then(mult, entries, right_act_chainmap(n, at, kind, s).entries)
+            at = apply_arrow(at, kind, s)
+            if at is None:
+                raise AssertionError(f"arrow {kind}{s} does not apply along the path")
+        paths.append(entries)
+    return mat_add(*paths)
 
 
-def leibniz_defect(n, xy, kind, t, act=None):
+def leibniz_defect(n, xy, kind, t, act):
     """d(m x r) + d(m) x r + m x d(r) as a chain map; zero iff Leibniz holds.
 
-    act(n, xy, kind, t) gives a generator's chain map, right_act_chainmap by
-    default; a sweep passes its own memo so that each map is built once."""
-    act = act or right_act_chainmap
+    act(n, xy, kind, t) gives a generator's chain map: right_act_chainmap, or
+    a sweep's memo of it so that each map is built once."""
     chain = act(n, xy, kind, t)
     defect = chain_map_defect(chain)
     if kind == DIAG:
@@ -237,7 +208,7 @@ def tensor_T(c):
             add(base + j, base + i, e)
     for (j, i), e in c.delta.items():
         base_i, base_j = blocks[i][1], blocks[j][1]
-        for (jj, ii), ee in act_element(n, e).entries.items():
+        for (jj, ii), ee in act_element(n, e).items():
             add(base_j + jj, base_i + ii, ee)
     out = ProjComplex(RAlgebraOps(n), summands, delta)
     ok, witness = verify_mc(out)

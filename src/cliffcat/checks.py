@@ -289,13 +289,12 @@ def _generators_out(n, xy):
     return [(kind, s) for kind, s, _ in qv.box_arrow_targets(n, xy)]
 
 
-def _check_pair(n, xy, failures, act=None):
+def _check_pair(n, xy, failures, act):
     """Every generator out of (x, y) acts by a chain map of its degree that
     satisfies Leibniz; identified length-2 paths act identically.  T(x, y)
     itself is verified by t_pair, which raises if it is invalid.  act(n, xy,
-    kind, t) gives a generator's chain map, bm.right_act_chainmap by default.
-    Returns the number of checks."""
-    act = act or bm.right_act_chainmap
+    kind, t) gives a generator's chain map (bm.right_act_chainmap or a memo
+    of it).  Returns the number of checks."""
     checks = 0
     for kind, t in _generators_out(n, xy):
         chain = act(n, xy, kind, t)

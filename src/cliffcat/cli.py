@@ -154,7 +154,11 @@ def cmd_bimodule(args):
 
 def cmd_complex(args):
     with open(args.file) as fh:
-        c = cx.complex_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.file}: JSON nested too deeply") from None
+    c = cx.complex_from_json(data)
     ok, witness = cx.verify_mc(c)
     k0 = cx.k0_class(c) if c.ops.tag == "R" else None
     if args.json:

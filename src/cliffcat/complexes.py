@@ -105,7 +105,9 @@ class BoxAlgebraOps:
         self.algebra = box_algebra(n)
 
     def degrees(self, m):
-        return (*_box_degrees(self.n, m[1]), m[0], path_target(m[0], m[1]))
+        arrows = m[1]
+        qdeg, cohdeg = self.algebra.qdeg(arrows), self.algebra.cohdeg(arrows)
+        return qdeg, cohdeg, m[0], path_target(m[0], arrows)
 
     def mult(self, a, b):
         return _box_mult(self.n, a, b)
@@ -141,14 +143,6 @@ class BoxAlgebraOps:
 
     def fmt_mono(self, m):
         return fmt_mono_box(m)
-
-
-@lru_cache(maxsize=None)
-def _box_degrees(n, arrows):
-    """(qdeg, cohdeg) of a boxed path.  The keys are the arrow tuples that
-    canonical has already cached, so the memo keeps no extra objects alive."""
-    alg = box_algebra(n)
-    return alg.qdeg(arrows), alg.cohdeg(arrows)
 
 
 # Box products and differentials are memoized on (n, entry), as are

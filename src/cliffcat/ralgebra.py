@@ -63,12 +63,7 @@ def basis_mon_r(n, x, w):
 
 
 def mono_qdeg_r(n, mono):
-    return _qdeg_r(n, *mono)
-
-
-@lru_cache(maxsize=None)
-def _qdeg_r(n, x, w):
-    return sum(n - 1 - 2 * s for s in forced_pairs(x, w))
+    return sum(n - 1 - 2 * s for s in forced_pairs(*mono))
 
 
 def mult_mono_r(n, m1, m2):
@@ -89,15 +84,6 @@ def mult_mono_r(n, m1, m2):
 
 
 # F2 elements are frozensets of monomials
-
-
-def elem(*monos):
-    out = set()
-    for m in monos:
-        if m is None:
-            continue
-        out.symmetric_difference_update([m])
-    return frozenset(out)
 
 
 def mult_r(n, a, b):

@@ -7,10 +7,10 @@ from cliffcat import checks as ck
 from cliffcat import kzero as kz
 from cliffcat import ralgebra as ra
 from cliffcat import vertices as vx
-from cliffcat.boxalgebra import box_algebra
+from cliffcat.boxalgebra import apply_arrow, box_algebra
 import cliffcat.complexes as cx
 from cliffcat.laurent import LaurentZ
-from cliffcat.quiver import DIAG, XSIDE, YSIDE, pair_mask
+from cliffcat.quiver import DIAG, XSIDE, YSIDE
 
 
 def test_t_pair_example_n2():
@@ -35,13 +35,57 @@ def test_t_pair_k0_is_product():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_act_path_cache_matches_fresh_fold(n):
-    # the memoized right action of every box class equals a fresh fold of
-    # its generators' chain maps, and a repeated call returns the same map
+def test_act_element_matches_chainmap_fold(n):
+    # the memoized right action of every box class equals the composite of
+    # its generators' chain maps, folded from the identity of T(source), and
+    # a fresh computation
     for source, arrows in box_algebra(n).all_monomials():
-        fresh = bm.act_path.__wrapped__(n, source, arrows)
-        assert bm.act_path(n, source, arrows).entries == fresh.entries
-        assert bm.act_path(n, source, arrows).entries == fresh.entries
+        tp = bm.t_pair(n, *source)
+        identity = {(i, i): frozenset([(m, m)]) for i, (*_, m) in enumerate(tp.slices)}
+        chain, at = cx.ChainMap(tp.complex, tp.complex, identity), source
+        for kind, s in arrows:
+            chain = bm.compose_chainmaps(chain, bm.right_act_chainmap(n, at, kind, s))
+            at = apply_arrow(at, kind, s)
+        elem = frozenset([(source, arrows)])
+        assert bm.act_element(n, elem) == chain.entries
+        assert bm.act_element(n, elem) == bm.act_element.__wrapped__(n, elem)
+
+
+# the parent's eight-way split of _case_data, one row per (kind, lower,
+# upper): (step, added index - a_t or None, uses the generator)
+CASES = {
+    (YSIDE, False, False): (0, None, True),
+    (YSIDE, False, True): (1, None, False),
+    (YSIDE, True, False): (1, 1, True),
+    (YSIDE, True, True): (2, 2, False),
+    (XSIDE, False, False): (0, None, True),
+    (XSIDE, True, False): (1, None, False),
+    (XSIDE, False, True): (1, 1, True),
+    (XSIDE, True, True): (2, 1, False),
+}
+
+
+def test_case_data_matches_eight_way_table():
+    # every side generator out of every vertex pair at n <= 4 meets its row
+    # of the table, and every row is met
+    seen = set()
+    for n in range(1, 5):
+        for x in vx.all_vertices(n):
+            for y in vx.all_vertices(n):
+                for kind, t in ck._generators_out(n, (x, y)):
+                    if kind == DIAG:
+                        continue
+                    if kind == YSIDE:
+                        lower, upper = t >= 1 and bool(x >> (t - 1) & 1), bool(x >> t & 1)
+                    else:
+                        lower, upper = bool(y >> (t + 1) & 1), bool(y >> (t + 2) & 1)
+                    _, a_t, step, added, uses_gen, dslice = bm._case_data(n, (x, y), kind, t)
+                    offsets = [a - a_t for a in added]
+                    got = (step, offsets[0] if offsets else None, uses_gen)
+                    assert len(offsets) <= 1 and dslice == 0
+                    assert got == CASES[(kind, lower, upper)], (n, x, y, kind, t)
+                    seen.add((kind, lower, upper))
+    assert seen == set(CASES)
 
 
 def test_t_pair_zero_when_repetition():
@@ -80,7 +124,7 @@ def test_leibniz_all_generators_n2():
     for x in vx.all_vertices(n):
         for y in vx.all_vertices(n):
             for kind, t in ck._generators_out(n, (x, y)):
-                defect = bm.leibniz_defect(n, (x, y), kind, t)
+                defect = bm.leibniz_defect(n, (x, y), kind, t, bm.right_act_chainmap)
                 assert not defect.entries, (vx.fmt_pair((x, y)), kind, t)
 
 
@@ -98,7 +142,7 @@ def test_leibniz_negative_control():
 
 
 @pytest.mark.parametrize("broken", ["endpoint", "q-degree"])
-def test_generator_degree_check_negative_control(monkeypatch, broken):
+def test_generator_degree_check_negative_control(broken):
     # one entry of a generator's chain map moved off its target vertex, or
     # its target summand moved off the generator's q-degree, is reported
     n = 2
@@ -122,12 +166,11 @@ def test_generator_degree_check_negative_control(monkeypatch, broken):
         target = cx.ProjComplex(ch.target.ops, summands, ch.target.delta)
         mutated = cx.ChainMap(ch.source, target, ch.entries)
         want = "violates the q contract"
-    monkeypatch.setattr(
-        bm, "right_act_chainmap",
-        lambda *args: mutated if args == (n, xy, YSIDE, 0) else real(*args),
-    )
+    def act(*args):
+        return mutated if args == (n, xy, YSIDE, 0) else real(*args)
+
     failures = []
-    ck._check_pair(n, xy, failures)
+    ck._check_pair(n, xy, failures, act)
     prefix = f"{vx.fmt_pair(xy)} {YSIDE}0: "
     assert any(f.startswith(prefix) and want in f for f in failures), failures
 

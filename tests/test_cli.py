@@ -169,6 +169,15 @@ def test_deep_input():
     assert run_quiet(DEEP_WORD + ["--assoc", right_nested])[:2] == (0, out)
 
 
+def test_deep_complex_file(tmp_path):
+    # JSON nested past the decoder's recursion limit is a usage error
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_quiet(["complex", "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
 # argument text: mostly the characters the parsers know, sometimes any
 _TEXT = st.text(st.sampled_from("EFq1-().[], 0123") | st.characters(), max_size=8)
 

@@ -189,13 +189,16 @@ def test_lift_to_box_keeps_contract_check():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cached_box_degrees_match_sums(n):
+    # the degrees of every box class, direct and through the memoized
+    # entry degrees, are the sums over its arrows
     ops = cx.BoxAlgebraOps(n)
     for m in box_algebra(n).all_monomials():
         arrows = m[1]
-        assert ops.degrees(m)[:2] == (
+        sums = (
             sum(arrow_qdeg(n, kind, s) for kind, s in arrows),
             -sum(kind == DIAG for kind, _ in arrows),
         )
+        assert ops.degrees(m)[:2] == cx.entry_degrees(ops, frozenset([m]))[:2] == sums
 
 
 @pytest.mark.parametrize("call", [

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from cliffcat import complexes as cx
 from cliffcat import ralgebra as ra
 from cliffcat import vertices as vx
 
@@ -31,14 +32,17 @@ def test_qdeg():
 
 
 def test_cached_qdeg_matches_path_sum():
-    # the memoized degree equals the pair-by-pair sum along an enumerated path
+    # the degree, direct and through the memoized entry degrees, equals the
+    # pair-by-pair sum along every enumerated path
     for n in (1, 2, 3):
+        ops = cx.RAlgebraOps(n)
         for x in vx.all_vertices(n):
             for w in vx.all_vertices(n):
                 if ra.basis_mon_r(n, x, w) is None:
                     continue
                 sums = {sum(n - 1 - 2 * s for s in p) for p in ra._paths(n, x, w)}
-                assert sums == {ra.mono_qdeg_r(n, (x, w))} == {ra._qdeg_r(n, x, w)}
+                cached = cx.entry_degrees(ops, frozenset([(x, w)]))[0]
+                assert sums == {ra.mono_qdeg_r(n, (x, w))} == {cached}
 
 
 @settings(max_examples=60)
@@ -72,13 +76,13 @@ def test_composable_products_nonzero():
 
 def test_mult_elements():
     n = 2
-    a = ra.elem((0, 0b11))
-    b = ra.elem((0b11, 0b11))
+    a = frozenset([(0, 0b11)])
+    b = frozenset([(0b11, 0b11)])
     assert ra.mult_r(n, a, b) == a
     # mismatched endpoints multiply to zero
     assert ra.mult_r(n, a, a) == frozenset()
-    # F2: x + x = 0
-    assert ra.elem((0, 0b11), (0, 0b11)) == frozenset()
+    # F2: e([]) * r + r * e([1,0]) = r + r = 0
+    assert ra.mult_r(n, frozenset([(0, 0), (0, 0b11)]), a | b) == frozenset()
 
 
 def test_tensor_square():
