@@ -34,7 +34,6 @@ SUITES = {
     "bimodule": (5, [ck.bimodule_failures, ck.t_pair_k0_failures]),
     "catun": (5, [ck.ee_shape_failures, ck.letter_failures, ck.word_lift_failures]),
 }
-MAX_N = 10  # the largest n of any suite or benchmark workload (2^(n+1) vertices)
 
 
 @dataclass
@@ -319,8 +318,8 @@ def main(argv=None):
             ap.error("an option is missing its value")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if not 1 <= getattr(args, "n", 1) <= MAX_N:
-        print(f"error: --n must be between 1 and {MAX_N}", file=sys.stderr)
+    if not 1 <= getattr(args, "n", 1) <= vx.MAX_N:
+        print(f"error: --n must be between 1 and {vx.MAX_N}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

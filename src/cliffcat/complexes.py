@@ -541,6 +541,8 @@ def complex_from_json(data):
     n = _int(data, "n", "complex")
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
+    if n > vx.MAX_N:
+        raise ValueError(f"n must be at most {vx.MAX_N}, got {n}")
     ops = _OPS[tag](n)
     summands = [
         Summand(

@@ -1,10 +1,13 @@
 """The vertex-basis product on classes of projectives.
 
-A pair of vertices is multiplied by gluing the in-between blocks with the
-two-term resolutions of its adjacent increasing pairs, with an h-power
-tracking how many far-apart transpositions occurred.  Setting h = -1 gives
-an associative product whose length-one generators satisfy Clifford
-relations.
+The product M(x, y) of two vertices resolves each adjacent increasing pair:
+an s in x with s + 1 in y, one bit of lows = x & (y >> 1).  What is left of
+x and y is rest; the product is 0 when the two rests share an element.
+Each subset A of the pairs gives one slice, rest plus the pair {s, s + 1}
+for every s in A, which vanishes as soon as two of its parts meet.  The
+h-power counts the far transpositions a < b - 1 (a in x, b in y) with sign
+(-1)^(a+b+1), plus |A|.  Setting h = -1 gives an associative product whose
+length-one generators satisfy Clifford relations.
 """
 
 from __future__ import annotations
@@ -17,62 +20,29 @@ from .laurent import LaurentZ, LaurentZH, format_sum
 from . import vertices as vx
 
 
-def glue(parts):
-    """Concatenate vertex masks; None unless strictly decreasing across
-    every junction (empty parts always pass)."""
-    out = 0
-    prev_min = None
-    for part in parts:
-        if part is None:
-            return None
-        if part == 0:
-            continue
-        if prev_min is not None and vx.vmax(part) >= prev_min:
-            return None
-        out |= part
-        prev_min = vx.vmin(part)
-    return out
-
-
-def mu_single(a, b):
-    if a < b - 1:
-        return -1 if (a + b) % 2 == 0 else 1
-    return 0
-
-
 @dataclass(frozen=True)
 class PairData:
-    x: int
-    y: int
     mu: int
-    s: tuple  # pair-lows, decreasing
-    alpha: tuple  # p+1 blocks, each a vertex mask or None (repetition)
+    s: tuple  # pair lows, decreasing
+    rest: int | None  # x and y without their pairs; None when they repeat
 
     @property
     def p(self):
         return len(self.s)
 
 
-@lru_cache(maxsize=None)
+# Bounded: at n = 10 the 4.2M ordered pairs barely recur, so an unbounded
+# memo only grows; 1 << 16 entries hold every ordered pair at n <= 7.
+@lru_cache(maxsize=1 << 16)
 def pair_data(x, y):
+    lows = x & (y >> 1)
+    xr, yr = x & ~lows, y & ~(lows << 1)
     mu = 0
-    for a in vx.seq(x):
-        for b in vx.seq(y):
-            mu += mu_single(a, b)
-    pairs = tuple(s for s in reversed(vx.seq(x)) if y >> (s + 1) & 1)
-    pairs = tuple(sorted(pairs, reverse=True))
-    alphas = []
-    bounds = (None,) + pairs + (None,)  # sentinels +inf, -inf
-    for i in range(len(pairs) + 1):
-        hi = bounds[i]  # s_i (None = +inf)
-        lo = bounds[i + 1]  # s_{i+1} (None = -inf)
-        xs = [a for a in vx.seq(x) if (lo is None or a >= lo + 1) and (hi is None or a < hi)]
-        ys = [b for b in vx.seq(y) if (lo is None or b > lo + 1) and (hi is None or b <= hi)]
-        if set(xs) & set(ys):
-            alphas.append(None)
-        else:
-            alphas.append(vx.from_seq(xs) | vx.from_seq(ys))
-    return PairData(x, y, mu, pairs, tuple(alphas))
+    for b in vx.seq(y):
+        if b > 1:
+            e = vx.euler(x & ((1 << (b - 1)) - 1))
+            mu += e if b & 1 else -e
+    return PairData(mu, vx.seq(lows), None if xr & yr else xr | yr)
 
 
 def eta(n, pd, subset):
@@ -80,18 +50,21 @@ def eta(n, pd, subset):
 
 
 def slice_monomial(pd, subset):
-    """The glued vertex for a chosen resolution of the pairs, or None."""
-    parts = [pd.alpha[0]]
+    """rest plus the chosen pairs, or None when two of these parts meet."""
+    out = pd.rest
     for i, s in enumerate(pd.s, start=1):
-        parts.append(vx.from_seq((s + 1, s)) if i in subset else 0)
-        parts.append(pd.alpha[i])
-    return glue(parts)
+        if i in subset:
+            pair = 0b11 << s
+            if out & pair:
+                return None
+            out |= pair
+    return out
 
 
 def m_slices(n, x, y):
     """All (k, A, eta, monomial-or-None) of the h,q expansion of the product."""
     pd = pair_data(x, y)
-    if any(a is None for a in pd.alpha):
+    if pd.rest is None:
         return []
     out = []
     for size in range(pd.p + 1):

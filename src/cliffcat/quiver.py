@@ -34,7 +34,8 @@ def arrow_targets(n, x):
 class Quiver:
     n: int
     vertices: list = field(repr=False)
-    out_arrows: dict = field(repr=False)  # vertex -> [(s, target)]
+    # vertex -> [(s, target)], or on the boxed quiver (x, y) -> [(kind, s, target)]
+    out_arrows: dict = field(repr=False)
 
 
 def build_gamma(n):
@@ -79,18 +80,11 @@ def box_arrow_targets(n, xy):
     return out
 
 
-@dataclass
-class BoxQuiver:
-    n: int
-    vertices: list = field(repr=False)
-    out_arrows: dict = field(repr=False)  # (x,y) -> [(kind, s, target)]
-
-
 def build_gamma_box(n):
     if n <= 0:
         raise ValueError("n must be positive")
     verts = [(x, y) for x in vx.all_vertices(n) for y in vx.all_vertices(n)]
-    return BoxQuiver(n, verts, {v: box_arrow_targets(n, v) for v in verts})
+    return Quiver(n, verts, {v: box_arrow_targets(n, v) for v in verts})
 
 
 def arrow_qdeg(n, kind, s):

@@ -6,6 +6,8 @@ integer s occurs in the sequence.  The empty vertex [] is the mask 0.
 
 from __future__ import annotations
 
+MAX_N = 10  # the largest n of any command, suite or benchmark workload (2^(n+1) vertices)
+
 
 def seq(v):
     """Decreasing tuple of elements of the vertex mask v."""
@@ -50,19 +52,6 @@ def euler(v):
     """Alternating-sign count: sum of (-1)^s over elements s."""
     even = bin(v & 0x5555555555555555).count("1")
     return 2 * even - length(v)
-
-
-def vmin(v):
-    """Least element, or None for the empty vertex."""
-    if v == 0:
-        return None
-    return (v & -v).bit_length() - 1
-
-
-def vmax(v):
-    if v == 0:
-        return None
-    return v.bit_length() - 1
 
 
 def fmt(v):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from cliffcat import checks as ck
 from cliffcat import cli
 from cliffcat import kzero as kz
+from cliffcat import vertices as vx
 
 
 def run(capsys, *argv):
@@ -140,10 +141,10 @@ def test_usage_errors(capsys):
     assert cli.main(["algebra", "--n", "2", "--target", "[1,0]"]) == 2
     assert capsys.readouterr().out == ""
     # an n above MAX_N is refused before any enumeration: one stderr line
-    for n in (cli.MAX_N + 1, 40, 99999999999999999999):
+    for n in (vx.MAX_N + 1, 40, 99999999999999999999):
         assert cli.main(["quiver", "--n", str(n)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: --n must be between 1 and {cli.MAX_N}\n"
+        assert out == "" and err == f"error: --n must be between 1 and {vx.MAX_N}\n"
 
 
 def run_quiet(argv):

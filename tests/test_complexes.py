@@ -261,6 +261,13 @@ def _vertex_7_at_n0(data):
     data["summands"][0]["vertex"] = [7]
 
 
+def _vertex_9999999_at_n10000000(data):
+    data["n"] = 10000000
+    data["summands"] = data["summands"][:1]
+    data["summands"][0]["vertex"] = [9999999]
+    data["delta"] = []
+
+
 def _drop_delta(data):
     del data["delta"]
 
@@ -275,6 +282,8 @@ def _bad_col(data):
 
 @pytest.mark.parametrize("edit, message", [
     (_vertex_7_at_n0, "error: n must be positive, got 0"),
+    (lambda d: d.update(n=40), "error: n must be at most 10, got 40"),
+    (_vertex_9999999_at_n10000000, "error: n must be at most 10, got 10000000"),
     (lambda d: d["summands"][0].update(vertex=[7]), "error: element 7 out of range [0, 2]"),
     (lambda d: d["summands"][0].update(vertex=[0, 1]),
      "error: vertex [0, 1] is not strictly decreasing"),

@@ -1,5 +1,7 @@
 """The q,h-valued product on vertex classes and its Clifford specialization."""
 
+from itertools import combinations
+
 from hypothesis import given, settings, strategies as st
 
 from cliffcat import checks as ck
@@ -11,19 +13,77 @@ ONE = LaurentZH.unit()
 H = LaurentZH.monomial(0, 1)
 
 
-def test_glue():
-    assert kz.glue([vx.from_seq((3,)), vx.from_seq((1, 0))]) == vx.from_seq((3, 1, 0))
-    assert kz.glue([vx.from_seq((1,)), vx.from_seq((1,))]) is None  # repetition
-    assert kz.glue([vx.from_seq((0,)), vx.from_seq((1,))]) is None  # not decreasing
-    assert kz.glue([0, vx.from_seq((2,)), 0]) == vx.from_seq((2,))
-    assert kz.glue([None, 0]) is None
+# The block construction the closed form replaced, kept as its oracle: the
+# vertices of x and y between consecutive pair lows form one block each, and
+# a slice glues the blocks and the chosen pairs into a strictly decreasing
+# sequence.
 
 
-def test_mu_single():
-    assert kz.mu_single(0, 2) == -1
-    assert kz.mu_single(0, 3) == 1
-    assert kz.mu_single(0, 1) == 0
-    assert kz.mu_single(2, 0) == 0
+def _glue(parts):
+    """Concatenate vertex masks; None unless strictly decreasing across
+    every junction (empty parts always pass)."""
+    out = 0
+    prev_min = None
+    for part in parts:
+        if part is None:
+            return None
+        if part == 0:
+            continue
+        if prev_min is not None and part.bit_length() - 1 >= prev_min:
+            return None
+        out |= part
+        prev_min = (part & -part).bit_length() - 1
+    return out
+
+
+def _mu_single(a, b):
+    if a < b - 1:
+        return -1 if (a + b) % 2 == 0 else 1
+    return 0
+
+
+def _block_pair_data(x, y):
+    """(mu, pair lows, alpha blocks), each block a vertex mask or None."""
+    mu = sum(_mu_single(a, b) for a in vx.seq(x) for b in vx.seq(y))
+    pairs = tuple(s for s in vx.seq(x) if y >> (s + 1) & 1)
+    alphas = []
+    bounds = (None,) + pairs + (None,)  # sentinels +inf, -inf
+    for hi, lo in zip(bounds, bounds[1:]):
+        xs = [a for a in vx.seq(x) if (lo is None or a >= lo + 1) and (hi is None or a < hi)]
+        ys = [b for b in vx.seq(y) if (lo is None or b > lo + 1) and (hi is None or b <= hi)]
+        alphas.append(None if set(xs) & set(ys) else vx.from_seq(xs) | vx.from_seq(ys))
+    return mu, pairs, alphas
+
+
+def _block_slice_monomial(pairs, alphas, subset):
+    parts = [alphas[0]]
+    for i, s in enumerate(pairs, start=1):
+        parts.append(vx.from_seq((s + 1, s)) if i in subset else 0)
+        parts.append(alphas[i])
+    return _glue(parts)
+
+
+def _block_m_slices(n, x, y):
+    mu, pairs, alphas = _block_pair_data(x, y)
+    if any(a is None for a in alphas):
+        return []
+    out = []
+    for size in range(len(pairs) + 1):
+        for A in combinations(range(1, len(pairs) + 1), size):
+            subset = frozenset(A)
+            eta = sum(2 * s + 1 - n for i, s in enumerate(pairs, start=1) if i not in subset)
+            out.append((mu + size, subset, eta, _block_slice_monomial(pairs, alphas, subset)))
+    return out
+
+
+def test_closed_form_matches_block_oracle():
+    for n in range(1, 6):
+        for x in vx.all_vertices(n):
+            for y in vx.all_vertices(n):
+                mu, pairs, _ = _block_pair_data(x, y)
+                pd = kz.pair_data(x, y)
+                assert (pd.mu, pd.s) == (mu, pairs), (n, x, y)
+                assert kz.m_slices(n, x, y) == _block_m_slices(n, x, y), (n, x, y)
 
 
 def test_pair_data_example():
@@ -31,7 +91,8 @@ def test_pair_data_example():
     assert pd.s == (1, 0)
     assert pd.mu == -1  # the far transposition (0, 2)
     assert pd.p == 2
-    assert pd.alpha == (0, 0, 0)
+    assert pd.rest == 0
+    assert kz.pair_data(vx.from_seq((1,)), vx.from_seq((1,))).rest is None  # repetition
 
 
 def test_special_cases():
