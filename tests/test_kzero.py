@@ -76,6 +76,32 @@ def _block_m_slices(n, x, y):
     return out
 
 
+def test_glue():
+    assert _glue([vx.from_seq((3,)), vx.from_seq((1, 0))]) == vx.from_seq((3, 1, 0))
+    assert _glue([vx.from_seq((1,)), vx.from_seq((1,))]) is None  # repetition
+    assert _glue([vx.from_seq((0,)), vx.from_seq((1,))]) is None  # not decreasing
+    assert _glue([0, vx.from_seq((2,)), 0]) == vx.from_seq((2,))
+    assert _glue([None, 0]) is None
+    # The closed form on the same cases: a union of disjoint parts, None on
+    # a repetition, whether a rest or a chosen pair meets another part.
+    assert kz.pair_data(vx.from_seq((3,)), vx.from_seq((1, 0))).rest == vx.from_seq((3, 1, 0))
+    assert kz.pair_data(vx.from_seq((1,)), vx.from_seq((1,))).rest is None
+    pd = kz.pair_data(vx.from_seq((2, 0)), vx.from_seq((1,)))  # pair (0, 1), rest {2}
+    assert kz.slice_monomial(pd, frozenset({1})) == vx.from_seq((2, 1, 0))
+    pd = kz.pair_data(vx.from_seq((1, 0)), vx.from_seq((2, 1)))  # pairs (1, 2) and (0, 1)
+    assert kz.slice_monomial(pd, frozenset({1, 2})) is None
+
+
+def test_mu_single():
+    assert _mu_single(0, 2) == -1
+    assert _mu_single(0, 3) == 1
+    assert _mu_single(0, 1) == 0
+    assert _mu_single(2, 0) == 0
+    # mu of two singletons is the single far-transposition sign.
+    for a, b, mu in ((0, 2, -1), (0, 3, 1), (0, 1, 0), (2, 0, 0)):
+        assert kz.pair_data(1 << a, 1 << b).mu == mu, (a, b)
+
+
 def test_closed_form_matches_block_oracle():
     for n in range(1, 6):
         for x in vx.all_vertices(n):
