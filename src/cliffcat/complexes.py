@@ -559,6 +559,9 @@ def complex_from_json(data):
             raise ValueError(f"delta entry {key} out of range for {len(summands)} summands")
         if key in delta:
             raise ValueError(f"delta entry {key} repeated")
-        monomials = _list(_field(item, "monomials", "delta entry"), "monomials")
-        delta[key] = frozenset(ops.mono_from_json(m) for m in monomials)
+        listed = _list(_field(item, "monomials", "delta entry"), "monomials")
+        monomials = [ops.mono_from_json(m) for m in listed]
+        delta[key] = frozenset(monomials)
+        if len(delta[key]) < len(monomials):
+            raise ValueError(f"delta entry {key} lists one monomial twice")
     return ProjComplex(ops, summands, delta)

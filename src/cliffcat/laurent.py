@@ -1,61 +1,65 @@
 """Exact Laurent polynomial arithmetic over the integers.
 
-Two flavours: one variable q (LaurentZ) and two variables q, h (LaurentZH),
-both stored as sparse maps from exponents to nonzero integer coefficients.
-Python integers are arbitrary precision, so no overflow handling is needed.
+One implementation, two variable sets: LaurentZ in q, keyed by int exponents,
+and its subclass LaurentZH in q and h, keyed by (qexp, hexp).  Both are sparse
+maps to nonzero integer coefficients; Python integers are arbitrary precision.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class LaurentZ:
     """Laurent polynomial in q with integer coefficients, dict {exp: coeff}."""
 
     __slots__ = ("coeffs",)
+    # a subclass sets these three: variable names, unit exponent, exponent sum
+    names = ("q",)
+    unit_exp = 0
+    add_exps = staticmethod(operator.add)
 
     def __init__(self, coeffs=None):
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
 
     @classmethod
     def unit(cls):
-        return cls({0: 1})
+        return cls({cls.unit_exp: 1})
 
     @classmethod
     def q_power(cls, e, coeff=1):
-        return cls({e: coeff})
+        return LaurentZ({e: coeff})
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = LaurentZ({0: other})
-        return isinstance(other, LaurentZ) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+            other = type(self)({self.unit_exp: other})
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
-        return LaurentZ(out)
+        return type(self)(out)
 
     def __neg__(self):
-        return LaurentZ({e: -c for e, c in self.coeffs.items()})
+        return type(self)({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = LaurentZ({0: other})
+            other = type(self)({self.unit_exp: other})
+        add = self.add_exps
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
+                e = add(e1, e2)
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentZ(out)
+        return type(self)(out)
 
     __rmul__ = __mul__
 
@@ -63,68 +67,29 @@ class LaurentZ:
         return sorted(self.coeffs.items())
 
     def to_json(self):
-        return [[e, c] for e, c in self.items()]
+        return [[*_exponents(e), c] for e, c in self.items()]
 
     def __repr__(self):
-        return f"LaurentZ({dict(self.items())})"
+        return f"{type(self).__name__}({dict(self.items())})"
 
     def __str__(self):
-        return format_laurent(self.items(), ("q",))
+        return format_laurent(self.items(), self.names)
 
 
-class LaurentZH:
+class LaurentZH(LaurentZ):
     """Laurent polynomial in q and h, dict {(qexp, hexp): coeff}."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    names = ("q", "h")
+    unit_exp = (0, 0)
 
-    def __init__(self, coeffs=None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
-
-    @classmethod
-    def unit(cls):
-        return cls({(0, 0): 1})
+    @staticmethod
+    def add_exps(a, b):
+        return (a[0] + b[0], a[1] + b[1])
 
     @classmethod
     def monomial(cls, qexp, hexp, coeff=1):
         return cls({(qexp, hexp): coeff})
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentZH({(0, 0): other})
-        return isinstance(other, LaurentZH) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentZH(out)
-
-    def __neg__(self):
-        return LaurentZH({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = LaurentZH({(0, 0): other})
-        out = {}
-        for (q1, h1), c1 in self.coeffs.items():
-            for (q2, h2), c2 in other.coeffs.items():
-                e = (q1 + q2, h1 + h2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentZH(out)
-
-    __rmul__ = __mul__
-
-    def items(self):
-        return sorted(self.coeffs.items())
 
     def specialize_h(self):
         """Substitute h := -1 (a ring map; h^-1 goes to -1 as well)."""
@@ -133,16 +98,10 @@ class LaurentZH:
             out[qe] = out.get(qe, 0) + (-c if he % 2 else c)
         return LaurentZ(out)
 
-    def to_json(self):
-        return [[qe, he, c] for (qe, he), c in self.items()]
 
-    def __repr__(self):
-        return f"LaurentZH({dict(self.items())})"
-
-    def __str__(self):
-        return format_laurent(
-            [((qe, he), c) for (qe, he), c in self.items()], ("q", "h")
-        )
+def _exponents(e):
+    """The exponents of a key as a tuple: (e,) for an int, e for a tuple."""
+    return e if isinstance(e, tuple) else (e,)
 
 
 def format_laurent(items, names):
@@ -157,9 +116,7 @@ def format_sum(terms, names):
         return "0"
     out = ""
     for exps, coeff, label in terms:
-        if not isinstance(exps, tuple):
-            exps = (exps,)
-        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, _exponents(exps)) if e]
         if label is not None:
             factors.append(label)
         if abs(coeff) != 1 or not factors:

@@ -280,6 +280,21 @@ def _bad_col(data):
     data["delta"][0]["col"] = -1
 
 
+def _r_entry_twice(data):
+    data["delta"][0]["monomials"] *= 2
+
+
+def _box_entry_twice(data):
+    # X0 and Y0 commute, so both orders name one class; over F2 the entry
+    # listing both is their sum, 0
+    data.clear()
+    data.update(cx.complex_to_json(cx.lift_to_box(cx.tensor_f2(two_step(), two_step()))))
+    data["delta"].append({"row": 3, "col": 0, "monomials": [
+        {"source": [[], []], "arrows": [["X", 0], ["Y", 0]]},
+        {"source": [[], []], "arrows": [["Y", 0], ["X", 0]]},
+    ]})
+
+
 @pytest.mark.parametrize("edit, message", [
     (_vertex_7_at_n0, "error: n must be positive, got 0"),
     (lambda d: d.update(n=40), "error: n must be at most 10, got 40"),
@@ -291,6 +306,8 @@ def _bad_col(data):
     (_bad_row, "error: delta entry (2, 0) out of range for 2 summands"),
     (_bad_col, "error: delta entry (1, -1) out of range for 2 summands"),
     (lambda d: d["delta"][0]["monomials"][0].reverse(), "error: no R monomial [1,0] -> []"),
+    (_r_entry_twice, "error: delta entry (1, 0) lists one monomial twice"),
+    (_box_entry_twice, "error: delta entry (3, 0) lists one monomial twice"),
 ])
 def test_bad_complex_json_is_usage_error(tmp_path, capsys, edit, message):
     data = cx.complex_to_json(two_step())

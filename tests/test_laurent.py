@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from cliffcat.laurent import LaurentZ, LaurentZH, format_laurent
@@ -64,3 +65,29 @@ def test_int_comparison():
     assert LaurentZ({0: 5}) == 5
     assert LaurentZ() == 0
     assert LaurentZH.unit() == 1
+    # equal objects must hash equal, and LaurentZ({0: 5}) == 5, so a Laurent
+    # polynomial is unhashable rather than hashed apart from its int
+    with pytest.raises(TypeError):
+        hash(LaurentZ({0: 5}))
+    with pytest.raises(TypeError):
+        hash(LaurentZH.unit())
+
+
+def test_to_json_shapes():
+    assert LaurentZ({1: 2, -1: -1}).to_json() == [[-1, -1], [1, 2]]
+    assert LaurentZH({(1, -1): 3, (0, 2): -2}).to_json() == [[0, 2, -2], [1, -1, 3]]
+
+
+def test_repr_names_its_class():
+    assert repr(LaurentZ({1: 2})) == "LaurentZ({1: 2})"
+    assert repr(LaurentZH.monomial(1, -1, 3)) == "LaurentZH({(1, -1): 3})"
+
+
+def test_types_stay_apart():
+    assert LaurentZ() != LaurentZH()
+    assert LaurentZ.unit() != LaurentZH.unit()
+    a = LaurentZH.monomial(1, 1, 2)
+    assert {type(x) for x in (a + a, -a, a - a, a * a, a * 3, 3 * a)} == {LaurentZH}
+    assert type(a.specialize_h()) is LaurentZ
+    assert a.specialize_h() == LaurentZ({1: -2})
+    assert LaurentZH.q_power(1) == LaurentZ.q_power(1) == LaurentZ({1: 1})

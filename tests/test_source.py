@@ -1,11 +1,35 @@
 """Source-level rules for the cliffcat package."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import cliffcat
 
 PACKAGE = pathlib.Path(cliffcat.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# Installs perfbench's tracer and reports the traced names it could not
+# resolve and the span metrics that got no wrapper in any cliffcat module or
+# class (a method inherited from a base class the tracer does not name is
+# one way to lose a wrapper).
+_TRACED_NAMES = """
+import json, sys, tracing
+tracer = tracing.Tracer()
+tracer.install()
+wrapped = set()
+for name, mod in sys.modules.items():
+    if name.split(".")[0] == tracing.PACKAGE:
+        classes = [v for v in vars(mod).values() if isinstance(v, type)]
+        for space in [mod] + classes:
+            wrapped |= {getattr(v, tracing.MARKER) for v in vars(space).values()
+                        if hasattr(v, tracing.MARKER)}
+print(json.dumps({"missing": tracer.missing,
+                  "unwrapped": sorted(set(tracing.SPANS) - wrapped)}))
+"""
 
 
 def test_no_bare_assert_in_package():
@@ -40,3 +64,14 @@ def test_only_cli_imports_checks():
             if any(name.split(".")[-1] == "checks" for name in names):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not found, found
+
+
+def test_traced_names_resolve():
+    # the benchmark traces cliffcat functions by name; a rename or a moved
+    # method must not leave a metric silently at zero.  install() rebinds
+    # module attributes for the whole process, so it runs in a child.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_NAMES], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == {"missing": [], "unwrapped": []}, report
