@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from . import kzero as kz
 from . import ralgebra as ra
@@ -184,32 +185,32 @@ def leibniz_defect(n, xy, kind, t, act):
 
 
 def tensor_T(c):
-    """Replace each boxed summand by its shifted T block; entries act factor-wise."""
+    """Replace each boxed summand by its shifted T block; entries act factor-wise.
+
+    The differential is assembled from pieces (row offset, column offset,
+    entries): the T(x, y) block of each summand, and the action of each entry
+    (j, i) in the rectangle of blocks j and i.  When every entry starts and
+    ends at its summands' vertices and none is diagonal, as the Box contract
+    demands, the pieces are disjoint and each key is written once; otherwise
+    the pieces are summed."""
     if c.ops.tag != "Box":
         raise AssertionError(f"tensor_T needs a complex over the box algebra, got {c.ops.tag}")
     n = c.ops.n
-    blocks = []  # per outer summand: (t_pair, base index into new summands)
-    summands = []
-    for s in c.summands:
-        tp = t_pair(n, *s.vertex)
-        blocks.append((tp, len(summands)))
-        for k, A, e, mon in tp.slices:
-            summands.append(Summand(mon, s.qshift + e, s.cohshift + k))
-    # summed by hand, not by mat_add: one shifted dict per block made
-    # tensor_T about 15 % slower
-    delta = {}
-
-    def add(j, i, e):
-        if e:
-            delta[(j, i)] = delta.get((j, i), frozenset()) ^ e
-
-    for tp, base in blocks:
-        for (j, i), e in tp.complex.delta.items():
-            add(base + j, base + i, e)
-    for (j, i), e in c.delta.items():
-        base_i, base_j = blocks[i][1], blocks[j][1]
-        for (jj, ii), ee in act_element(n, e).items():
-            add(base_j + jj, base_i + ii, ee)
+    blocks = [t_pair(n, *s.vertex).complex for s in c.summands]
+    bases = list(accumulate([len(b.summands) for b in blocks], initial=0))
+    summands = [
+        Summand(t.vertex, s.qshift + t.qshift, s.cohshift + t.cohshift)
+        for s, b in zip(c.summands, blocks)
+        for t in b.summands
+    ]
+    pieces = [(base, base, b.delta) for base, b in zip(bases, blocks)]
+    pieces += [(bases[j], bases[i], act_element(n, e)) for (j, i), e in c.delta.items()]
+    delta = {(row + j, col + i): e for row, col, entries in pieces for (j, i), e in entries.items()}
+    if len(delta) < sum([len(entries) for _, _, entries in pieces]):
+        delta = mat_add(*(
+            {(row + j, col + i): e for (j, i), e in entries.items()}
+            for row, col, entries in pieces
+        ))
     out = ProjComplex(RAlgebraOps(n), summands, delta)
     ok, witness = verify_mc(out)
     if not ok:

@@ -14,31 +14,29 @@ from dataclasses import dataclass
 from . import vertices as vx
 from .bimodule import tensor_T
 from .complexes import (
+    ProjComplex,
     RAlgebraOps,
-    direct_sum,
+    Summand,
     lift_to_box,
     projective,
     tensor_f2,
-    zero_complex,
 )
 
 LETTERS = ("One", "Q", "Qinv", "E", "F")
 
 
+def _letter(n, first):
+    """The direct sum of P([i]) over i = first, first + 2, ... up to n."""
+    summands = [Summand(vx.from_seq((i,)), 0, 0) for i in range(first, n + 1, 2)]
+    return ProjComplex(RAlgebraOps(n), summands)
+
+
 def make_E(n):
-    ops = RAlgebraOps(n)
-    c = zero_complex(ops)
-    for i in range(0, n + 1, 2):
-        c = direct_sum(c, projective(ops, vx.from_seq((i,))))
-    return c
+    return _letter(n, 0)
 
 
 def make_F(n):
-    ops = RAlgebraOps(n)
-    c = zero_complex(ops)
-    for i in range(1, n + 1, 2):
-        c = direct_sum(c, projective(ops, vx.from_seq((i,))))
-    return c
+    return _letter(n, 1)
 
 
 def letter_complex(n, letter):

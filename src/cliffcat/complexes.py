@@ -9,8 +9,10 @@ contract cohdeg(entry) + b_j - b_i = 1 and qdeg(entry) = a_j - a_i.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import gf2
 from . import ralgebra as ra
@@ -49,8 +51,7 @@ class RAlgebraOps:
 
     def mono_from_json(self, data):
         x, w = (vx.from_json(v, self.n) for v in _pair(data, "R monomial"))
-        if ra.basis_mon_r(self.n, x, w) is None:
-            raise ValueError(f"no R monomial {vx.fmt(x)} -> {vx.fmt(w)} at n={self.n}")
+        ra.mono_qdeg_r(self.n, (x, w))  # raises ValueError if there is none
         return (x, w)
 
     def vertex_json(self, v):
@@ -168,8 +169,10 @@ _OPS = {"R": RAlgebraOps, "RR": RRAlgebraOps, "Box": BoxAlgebraOps}
 # complexes
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
+    """P(vertex){qshift}[cohshift].  A word lift builds millions, and a
+    NamedTuple is cheaper to build than a frozen dataclass."""
+
     vertex: object
     qshift: int
     cohshift: int
@@ -281,17 +284,36 @@ def delta_square(c):
     return mat_add(mat_diff(c.ops.diff, c.delta), mat_then(c.ops.mult, c.delta, c.delta))
 
 
+def parity_square(c):
+    """delta*delta of a complex over R that keeps the degree contract.
+
+    R Hom-spaces are at most one-dimensional, so each entry of such a
+    complex is the basis monomial between its endpoints; composable products
+    never vanish and d = 0.  Entry (k, i) of the square is therefore the
+    monomial v_i -> v_k when an odd number of j have (j, i) and (k, j) in
+    the support, and zero otherwise.  delta_square is its test oracle."""
+    by_col = {}
+    for k, j in c.delta:
+        by_col.setdefault(j, []).append(k)
+    paths = Counter((k, i) for j, i in c.delta for k in by_col.get(j, ()))
+    verts = [s.vertex for s in c.summands]
+    return {(k, i): frozenset([(verts[i], verts[k])]) for (k, i), m in paths.items() if m & 1}
+
+
 def contract_violation(c):
     """The first delta entry that breaks the degree contract, as a witness."""
     return map_violation(c, c, c.delta, (0, 1))
 
 
 def verify_mc(c):
-    """Validity of a twisted complex; returns (ok, witness-or-None)."""
+    """Validity of a twisted complex; returns (ok, witness-or-None).
+
+    The contract is checked first; over R its success is what lets the
+    square be counted by parity_square."""
     witness = contract_violation(c)
     if witness is not None:
         return False, witness
-    sq = delta_square(c)
+    sq = parity_square(c) if c.ops.tag == "R" else delta_square(c)
     if sq:
         (j, i), e = sorted(sq.items())[0]
         return False, (
@@ -372,14 +394,6 @@ def shift(c, dq=0, dcoh=0):
     )
 
 
-def direct_sum(a, b):
-    off = len(a.summands)
-    delta = dict(a.delta)
-    for (j, i), e in b.delta.items():
-        delta[(off + j, off + i)] = e
-    return ProjComplex(a.ops, tuple(a.summands) + tuple(b.summands), delta)
-
-
 # ---------------------------------------------------------------------------
 # tensor over the ground field and the diagonal lift
 
@@ -388,24 +402,27 @@ def tensor_f2(m, nc):
     """Tensor two complexes over R into one over the tensor square.
 
     The summand P(v_i) (x) P(w_j) sits at i * w + j, w = len(nc.summands).
-    The result is unchecked: lift_to_box, its one consumer, checks it."""
+    The blocks of d(x)1 and 1(x)d share a key only where both inputs have a
+    diagonal entry (i, i); such keys are summed, every other key is written
+    once.  The result is unchecked: lift_to_box, its one consumer, checks it."""
     w = len(nc.summands)
     summands = [
         Summand((si.vertex, sj.vertex), si.qshift + sj.qshift, si.cohshift + sj.cohshift)
         for si in m.summands
         for sj in nc.summands
     ]
-    left = {}
+    delta = {}
     for (j, i), e in m.delta.items():
         for j2, sj in enumerate(nc.summands):
             ident = (sj.vertex, sj.vertex)
-            left[(j * w + j2, i * w + j2)] = frozenset((mo, ident) for mo in e)
-    right = {}
+            delta[(j * w + j2, i * w + j2)] = frozenset((mo, ident) for mo in e)
     for (j, i), e in nc.delta.items():
         for i2, si in enumerate(m.summands):
             ident = (si.vertex, si.vertex)
-            right[(i2 * w + j, i2 * w + i)] = frozenset((ident, mo) for mo in e)
-    return ProjComplex(RRAlgebraOps(m.ops.n), summands, mat_add(left, right))
+            key = (i2 * w + j, i2 * w + i)
+            entry = frozenset((ident, mo) for mo in e)
+            delta[key] = delta[key] ^ entry if key in delta else entry
+    return ProjComplex(RRAlgebraOps(m.ops.n), summands, delta)
 
 
 MAX_LIFT_ROUNDS = 10

@@ -63,7 +63,12 @@ def basis_mon_r(n, x, w):
 
 
 def mono_qdeg_r(n, mono):
-    return sum(n - 1 - 2 * s for s in forced_pairs(*mono))
+    """q-degree of a basis monomial; ValueError if its Hom-space is zero."""
+    x, w = mono
+    pairs = forced_pairs(x, w)
+    if pairs is None:
+        raise ValueError(f"no R monomial {vx.fmt(x)} -> {vx.fmt(w)} at n={n}")
+    return sum(n - 1 - 2 * s for s in pairs)
 
 
 def mult_mono_r(n, m1, m2):

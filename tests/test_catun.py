@@ -1,5 +1,6 @@
 """Word liftings, unit laws, and the squared-generator shape."""
 
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,41 @@ def test_rho_checks_contract_twice(monkeypatch):
     assert len(calls) == 2
 
 
+def test_rho_sums_diagonal_collisions():
+    # complexes with a diagonal entry break the contract, but rho must still
+    # sum, not overwrite: over R the two identity loops cancel in tensor_f2,
+    # so rho(P(v) with loop, P(w) with loop) is T(v, w)
+    n = 2
+    ops = cx.RAlgebraOps(n)
+    v, w = 1 << 0, 1 << 1
+    loop_v = cx.ProjComplex(ops, [cx.Summand(v, 0, 0)], {(0, 0): {(v, v)}})
+    loop_w = cx.ProjComplex(ops, [cx.Summand(w, 0, 0)], {(0, 0): {(w, w)}})
+    got = cu.rho(loop_v, loop_w)
+    T = bm.t_pair(n, v, w).complex
+    assert got.summands == T.summands and got.delta == T.delta
+    with pytest.raises(cx.LiftError):
+        cu.rho(loop_v, cx.projective(ops, w))
+
+
+# Box products are only met where both factors of a rho step have a
+# differential, as in (EF)(EF), so four words of length 4 join WORDS
+LIFT_WORDS = ck.WORDS + [tuple(w) for w in ("EFEF", "FEFE", "EEFF", "EFFE")]
+
+# SHA-256 over the lifts of LIFT_WORDS under every tree at n = 3, one
+# sort_keys JSON line each; pinned before R squares were counted by parity
+# and tensor blocks were assembled without summing
+LIFT_DIGEST_N3 = "923158d822c5bcc28faffaaddf2c2f903f4879ab70fe87f5e2ae1a53c854a1b9"
+
+
+def test_lift_json_digest_pinned():
+    h = hashlib.sha256()
+    for w in LIFT_WORDS:
+        for tree in ck.all_trees(0, len(w)):
+            doc = cx.complex_to_json(cu.lift_word(3, cu.Word(w, tree)))
+            h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == LIFT_DIGEST_N3
+
+
 # every memo that a rho step passes its entries through
 RHO_MEMOS = [
     (cx, "_entry_degrees"),
@@ -115,10 +151,7 @@ RHO_MEMOS = [
 def test_rho_memos_match_fresh_computation(monkeypatch):
     # every word in WORDS under every tree at n <= 3: each memoized value a
     # lift reads equals a fresh computation, and lifting twice gives the same
-    # JSON, so no caller mutates a cached object.  Box products are only met
-    # where both factors of a rho step have a differential, as in (EF)(EF),
-    # so four words of length 4 join WORDS.
-    words = ck.WORDS + [tuple(w) for w in ("EFEF", "FEFE", "EEFF", "EFFE")]
+    # JSON, so no caller mutates a cached object.
     memos, seen = {}, {}
     for mod, name in RHO_MEMOS:
         memo = memos[name] = getattr(mod, name)
@@ -130,7 +163,7 @@ def test_rho_memos_match_fresh_computation(monkeypatch):
 
         monkeypatch.setattr(mod, name, record)
     for n in (1, 2, 3):
-        for w in words:
+        for w in LIFT_WORDS:
             for tree in ck.all_trees(0, len(w)):
                 word = cu.Word(w, tree)
                 first = json.dumps(cx.complex_to_json(cu.lift_word(n, word)))

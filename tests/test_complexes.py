@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import or_
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 import cliffcat
 from cliffcat import cli
@@ -14,7 +17,7 @@ from cliffcat import kzero as kz
 from cliffcat import ralgebra as ra
 from cliffcat import vertices as vx
 from cliffcat.boxalgebra import box_algebra
-from cliffcat.quiver import DIAG, arrow_qdeg
+from cliffcat.quiver import DIAG, arrow_qdeg, pair_mask
 import cliffcat.complexes as cx
 from cliffcat.laurent import LaurentZ
 
@@ -72,6 +75,79 @@ def test_delta_square_witness():
     c = cx.ProjComplex(ops, summands, delta)
     ok, witness = cx.verify_mc(c)
     assert not ok and "nonzero" in witness
+
+
+@pytest.mark.parametrize("ops, ends, entry", [
+    (cx.RAlgebraOps(2), (0b10, 0b01), (0b10, 0b01)),
+    (cx.RRAlgebraOps(2), ((0b10, 0), (0b01, 0)), ((0b10, 0b01), (0, 0))),
+    (cx.RRAlgebraOps(2), ((0, 0b10), (0, 0b01)), ((0, 0), (0b10, 0b01))),
+])
+def test_entry_without_hom_space_is_contract_witness(ops, ends, entry):
+    # [1] -> [0] has no R monomial: the contract check names it, so every
+    # entry that passes the check is a basis monomial
+    summands = (cx.Summand(ends[0], 0, 0), cx.Summand(ends[1], 0, 1))
+    c = cx.ProjComplex(ops, summands, {(1, 0): frozenset([entry])})
+    assert cx.verify_mc(c) == (False, "no R monomial [1] -> [0] at n=2")
+
+
+def _r_potential(n, v):
+    """A q-shift per vertex with qdeg(v -> w) = shift(w) - shift(v) on every
+    R monomial: (n|v| - 2 sum(v)) / 2, rounded up; n|v| keeps its parity
+    along a monomial, which inserts pairs."""
+    s = vx.seq(v)
+    return -(-(n * len(s) - 2 * sum(s)) // 2)
+
+
+@st.composite
+def contract_r_complexes(draw):
+    """Complexes over R at n <= 4 that keep the degree contract: summands at
+    unions of adjacent pairs in positions 0..2, and a drawn subset of the
+    entries the contract allows between them."""
+    n = draw(st.integers(1, 4))
+    cells = draw(st.lists(
+        st.tuples(st.frozensets(st.integers(0, n - 1)), st.integers(0, 2)),
+        min_size=1, max_size=8,
+    ))
+    verts = [reduce(or_, map(pair_mask, lows), 0) for lows, _ in cells]
+    summands = [cx.Summand(v, _r_potential(n, v), b) for v, (_, b) in zip(verts, cells)]
+    allowed = [
+        (j, i)
+        for i, si in enumerate(summands)
+        for j, sj in enumerate(summands)
+        if sj.cohshift == si.cohshift + 1
+        and ra.basis_mon_r(n, si.vertex, sj.vertex) is not None
+    ]
+    keep = draw(st.lists(st.booleans(), min_size=len(allowed), max_size=len(allowed)))
+    delta = {
+        (j, i): frozenset([(verts[i], verts[j])])
+        for (j, i), kept in zip(allowed, keep) if kept
+    }
+    return cx.ProjComplex(cx.RAlgebraOps(n), summands, delta)
+
+
+@given(contract_r_complexes())
+@settings(max_examples=300, deadline=None)
+def test_parity_square_matches_generic_square(c):
+    assert cx.contract_violation(c) is None
+    assert cx.parity_square(c) == cx.delta_square(c)
+    with mock.patch.object(cx, "parity_square", cx.delta_square):
+        generic = cx.verify_mc(c)
+    assert cx.verify_mc(c) == generic
+
+
+def test_contract_complexes_reach_both_square_outcomes():
+    # the strategy above meets both outcomes of the square check
+    assert find(contract_r_complexes(), lambda c: cx.delta_square(c))
+    assert find(contract_r_complexes(), lambda c: c.delta and not cx.delta_square(c))
+
+
+def test_contract_check_runs_before_parity_square(monkeypatch):
+    # an entry off its endpoints would be read by its endpoints' positions;
+    # the contract check reports it before the parity kernel runs
+    c = two_step()
+    bad = cx.ProjComplex(c.ops, c.summands, {(1, 0): frozenset([(0, vx.from_seq((2, 1)))])})
+    monkeypatch.setattr(cx, "parity_square", lambda c: pytest.fail("parity kernel reached"))
+    assert cx.verify_mc(bad) == (False, "entry (1,0) endpoints do not match summands")
 
 
 def test_cone():
@@ -159,6 +235,38 @@ def test_tensor_f2_bilinear_on_k0():
         for v2, c2 in cx.k0_class(b).items():
             want[(v1, v2)] = c1 * c2
     assert k0 == {k: v for k, v in want.items() if v}
+
+
+def _tensor_f2_oracle(m, nc):
+    """tensor_f2's delta as the sum of separately built d(x)1 and 1(x)d."""
+    w = len(nc.summands)
+    left = {
+        (j * w + j2, i * w + j2): frozenset((mo, (sj.vertex, sj.vertex)) for mo in e)
+        for (j, i), e in m.delta.items()
+        for j2, sj in enumerate(nc.summands)
+    }
+    right = {
+        (i2 * w + j, i2 * w + i): frozenset(((si.vertex, si.vertex), mo) for mo in e)
+        for (j, i), e in nc.delta.items()
+        for i2, si in enumerate(m.summands)
+    }
+    return cx.mat_add(left, right)
+
+
+def test_tensor_f2_sums_diagonal_collisions():
+    # d(x)1 and 1(x)d meet only where both factors have a diagonal entry;
+    # there the two blocks are summed, never overwritten
+    n = 2
+    ops = cx.RAlgebraOps(n)
+    v, w = vx.from_seq((1, 0)), vx.from_seq((2,))
+    loop_v = cx.ProjComplex(ops, [cx.Summand(v, 0, 0)], {(0, 0): {(v, v)}})
+    loop_w = cx.ProjComplex(ops, [cx.Summand(w, 0, 0)], {(0, 0): {(w, w)}})
+    mixed_w = cx.ProjComplex(ops, [cx.Summand(w, 0, 0)], {(0, 0): {(w, w), (0, w)}})
+    for m, nc in [(two_step(), two_step()), (loop_v, loop_w), (loop_v, mixed_w),
+                  (two_step(), loop_w), (loop_v, two_step())]:
+        assert cx.tensor_f2(m, nc).delta == _tensor_f2_oracle(m, nc)
+    assert not cx.tensor_f2(loop_v, loop_w).delta
+    assert cx.tensor_f2(loop_v, mixed_w).delta == {(0, 0): {((v, v), (0, w))}}
 
 
 def test_lift_of_tensor_is_valid():
