@@ -22,7 +22,6 @@ from itertools import accumulate
 from . import kzero as kz
 from . import ralgebra as ra
 from . import vertices as vx
-from .boxalgebra import apply_arrow
 from .complexes import (
     ChainMap,
     ProjComplex,
@@ -33,16 +32,13 @@ from .complexes import (
     mat_then,
     verify_mc,
 )
-from .quiver import DIAG, XSIDE, YSIDE, pair_mask
+from .quiver import DIAG, XSIDE, YSIDE, apply_arrow, pair_mask
 
 
 @dataclass
 class TPair:
     """T(x, y) as a twisted complex plus the subset-to-summand bookkeeping."""
 
-    n: int
-    x: int
-    y: int
     complex: ProjComplex
     index: dict  # frozenset A -> summand position
     slices: list  # summand position -> (k, A, eta, monomial)
@@ -74,7 +70,7 @@ def t_pair(n, x, y):
     ok, witness = verify_mc(c)
     if not ok:
         raise AssertionError(f"T{vx.fmt_pair((x, y))} is invalid: {witness}")
-    return TPair(n, x, y, c, index, slices)
+    return TPair(c, index, slices)
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +86,22 @@ def _case_data(n, xy, kind, t):
     set and uses the generator iff upper is unset.  X side (lower: t+1 in y,
     upper: t+2 in y): it adds a_t + 1 iff upper is set and uses the
     generator iff lower is unset.  On both, step = lower + upper."""
+    target = apply_arrow(xy, kind, t)
+    if target is None:
+        raise AssertionError(f"arrow {kind}{t} does not apply at {vx.fmt_pair(xy)}")
     x, y = xy
     a_t = sum(1 for s in kz.pair_data(x, y).s if s > t)
     if kind == DIAG:
-        return (x | pair_mask(t), y | pair_mask(t + 1)), a_t, 2, frozenset(), False, -1
+        return target, a_t, 2, frozenset(), False, -1
     if kind == YSIDE:
         lower, upper = t >= 1 and bool(x >> (t - 1) & 1), bool(x >> t & 1)
         step = lower + upper
         added = [a_t + step] if lower else []
-        return (x, y | pair_mask(t)), a_t, step, frozenset(added), not upper, 0
+        return target, a_t, step, frozenset(added), not upper, 0
     lower, upper = bool(y >> (t + 1) & 1), bool(y >> (t + 2) & 1)
     step = lower + upper
     added = [a_t + 1] if upper else []
-    return (x | pair_mask(t), y), a_t, step, frozenset(added), not lower, 0
+    return target, a_t, step, frozenset(added), not lower, 0
 
 
 def right_act_chainmap(n, xy, kind, t):
@@ -155,8 +154,6 @@ def act_element(n, elem):
         for kind, s in arrows:
             entries = mat_then(mult, entries, right_act_chainmap(n, at, kind, s).entries)
             at = apply_arrow(at, kind, s)
-            if at is None:
-                raise AssertionError(f"arrow {kind}{s} does not apply along the path")
         paths.append(entries)
     return mat_add(*paths)
 
@@ -169,12 +166,11 @@ def leibniz_defect(n, xy, kind, t, act):
     chain = act(n, xy, kind, t)
     defect = chain_map_defect(chain)
     if kind == DIAG:
-        x, y = xy
         via_x = compose_chainmaps(
-            act(n, xy, XSIDE, t), act(n, (x | pair_mask(t), y), YSIDE, t + 1)
+            act(n, xy, XSIDE, t), act(n, apply_arrow(xy, XSIDE, t), YSIDE, t + 1)
         )
         via_y = compose_chainmaps(
-            act(n, xy, YSIDE, t + 1), act(n, (x, y | pair_mask(t + 1)), XSIDE, t)
+            act(n, xy, YSIDE, t + 1), act(n, apply_arrow(xy, YSIDE, t + 1), XSIDE, t)
         )
         defect = mat_add(defect, via_x.entries, via_y.entries)
     return ChainMap(chain.source, chain.target, defect)

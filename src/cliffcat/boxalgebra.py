@@ -24,29 +24,13 @@ from functools import lru_cache
 from . import gf2
 from . import ralgebra as ra
 from . import vertices as vx
-from .quiver import DIAG, XSIDE, YSIDE, arrow_cohdeg, arrow_qdeg, box_arrow_targets, pair_mask
+from .quiver import DIAG, XSIDE, YSIDE, apply_arrow, arrow_cohdeg, arrow_qdeg, box_arrow_targets
 
 _KIND_RANK = {XSIDE: 0, YSIDE: 1, DIAG: 2}
 
 
 def path_key(arrows):
     return tuple((_KIND_RANK[k], s) for k, s in arrows)
-
-
-def apply_arrow(xy, kind, s):
-    """Target of the arrow, or None if not applicable at xy."""
-    x, y = xy
-    if kind == XSIDE:
-        if x & pair_mask(s):
-            return None
-        return (x | pair_mask(s), y)
-    if kind == YSIDE:
-        if y & pair_mask(s):
-            return None
-        return (x, y | pair_mask(s))
-    if x & pair_mask(s) or y & pair_mask(s + 1):
-        return None
-    return (x | pair_mask(s), y | pair_mask(s + 1))
 
 
 def path_target(source, arrows):

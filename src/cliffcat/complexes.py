@@ -193,10 +193,6 @@ def projective(ops, v, qshift=0, cohshift=0):
     return ProjComplex(ops, (Summand(v, qshift, cohshift),), {})
 
 
-def zero_complex(ops):
-    return ProjComplex(ops, (), {})
-
-
 def entry_degrees(ops, e):
     """(qdeg, cohdeg, source, target) of a homogeneous element; raises if mixed."""
     return _entry_degrees(ops.tag, ops.n, e)
@@ -333,14 +329,13 @@ def k0_class(c):
     return {v: coeff for v, coeff in out.items() if coeff}
 
 
-@dataclass
-class ChainMap:
+class ChainMap(NamedTuple):
+    """A map source -> target; entries maps (j in target, i in source) to a
+    nonempty frozenset.  Entries are kept as given, not normalized."""
+
     source: ProjComplex
     target: ProjComplex
-    entries: dict = field(default_factory=dict)  # (j in target, i in source)
-
-    def __post_init__(self):
-        self.entries = {k: frozenset(v) for k, v in self.entries.items() if v}
+    entries: dict
 
 
 def chain_map_defect(f):
@@ -350,47 +345,6 @@ def chain_map_defect(f):
         mat_diff(ops.diff, f.entries),
         mat_then(ops.mult, f.entries, f.target.delta),
         mat_then(ops.mult, f.source.delta, f.entries),
-    )
-
-
-def is_closed_map(f):
-    """Whether f is a closed chain map of degree (0, 0)."""
-    if map_violation(f.source, f.target, f.entries, (0, 0)) is not None:
-        return False
-    return not chain_map_defect(f)
-
-
-def cone(f):
-    """Mapping cone of a closed degree-(0,0) map f: M -> N.
-
-    Summands are N followed by M shifted one position down; the M block maps
-    into the N block through f.
-    """
-    if not is_closed_map(f):
-        raise ValueError("cone requires a closed degree-(0,0) chain map")
-    M, N = f.source, f.target
-    off = len(N.summands)
-    summands = list(N.summands) + [
-        Summand(s.vertex, s.qshift, s.cohshift - 1) for s in M.summands
-    ]
-    delta = mat_add(
-        N.delta,
-        {(off + j, off + i): e for (j, i), e in M.delta.items()},
-        {(j, off + i): e for (j, i), e in f.entries.items()},
-    )
-    out = ProjComplex(f.source.ops, summands, delta)
-    ok, witness = verify_mc(out)
-    if not ok:
-        raise AssertionError(f"cone of a closed map is invalid: {witness}")
-    return out
-
-
-def shift(c, dq=0, dcoh=0):
-    """{dq} and [dcoh] shifts: qshift + dq, cohshift - dcoh."""
-    return ProjComplex(
-        c.ops,
-        [Summand(s.vertex, s.qshift + dq, s.cohshift - dcoh) for s in c.summands],
-        dict(c.delta),
     )
 
 

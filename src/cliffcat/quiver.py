@@ -64,20 +64,27 @@ def components(q):
     return sorted(sorted(g) for g in groups.values())
 
 
+def apply_arrow(xy, kind, s):
+    """Target of the arrow, or None if not applicable at xy."""
+    x, y = xy
+    if kind == XSIDE:
+        if x & pair_mask(s):
+            return None
+        return (x | pair_mask(s), y)
+    if kind == YSIDE:
+        if y & pair_mask(s):
+            return None
+        return (x, y | pair_mask(s))
+    if x & pair_mask(s) or y & pair_mask(s + 1):
+        return None
+    return (x | pair_mask(s), y | pair_mask(s + 1))
+
+
 def box_arrow_targets(n, xy):
     """All (kind, s, target) arrows out of the boxed vertex (x, y)."""
-    x, y = xy
-    out = []
-    for s in range(n):
-        if x & pair_mask(s) == 0:
-            out.append((XSIDE, s, (x | pair_mask(s), y)))
-    for s in range(n):
-        if y & pair_mask(s) == 0:
-            out.append((YSIDE, s, (x, y | pair_mask(s))))
-    for s in range(n - 1):
-        if x & pair_mask(s) == 0 and y & pair_mask(s + 1) == 0:
-            out.append((DIAG, s, (x | pair_mask(s), y | pair_mask(s + 1))))
-    return out
+    candidates = [(XSIDE, s) for s in range(n)] + [(YSIDE, s) for s in range(n)]
+    candidates += [(DIAG, s) for s in range(n - 1)]
+    return [(k, s, w) for k, s in candidates if (w := apply_arrow(xy, k, s)) is not None]
 
 
 def build_gamma_box(n):

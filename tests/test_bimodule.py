@@ -119,6 +119,19 @@ def test_yside_action_case_generator():
     assert tgt.slices[0][3] == vx.from_seq((3, 2))
 
 
+@pytest.mark.parametrize("xy, kind", [((0b11, 0), XSIDE), ((0, 0b110), DIAG)])
+def test_right_act_chainmap_rejects_arrow_that_does_not_apply(xy, kind):
+    # X0 needs bits 0 and 1 of x clear; D0 also needs bits 1 and 2 of y clear
+    with pytest.raises(AssertionError, match=f"arrow {kind}0 does not apply"):
+        bm.right_act_chainmap(2, xy, kind, 0)
+
+
+def test_act_element_rejects_path_that_leaves_the_quiver():
+    # the second X0 does not apply after the first
+    with pytest.raises(AssertionError, match=f"arrow {XSIDE}0 does not apply"):
+        bm.act_element(2, frozenset([((0, 0), ((XSIDE, 0), (XSIDE, 0)))]))
+
+
 def test_leibniz_all_generators_n2():
     n = 2
     for x in vx.all_vertices(n):
@@ -239,7 +252,7 @@ def test_tensor_T_sums_colliding_blocks(monkeypatch):
 
 
 def test_tensor_T_zero():
-    out = bm.tensor_T(cx.zero_complex(cx.BoxAlgebraOps(2)))
+    out = bm.tensor_T(cx.ProjComplex(cx.BoxAlgebraOps(2), ()))
     assert out.summands == () and not out.delta
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -216,6 +217,20 @@ def test_fuzzed_arguments_exit_cleanly(argv):
         assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
+# SHA-256 of every file export-all --n 2 writes; fixes the export bytes,
+# the boxed quiver's arrow order among them
+EXPORT_DIGESTS_N2 = {
+    "box_quiver_n2.json": "5528364e5e58f04238e798ca0075b68a5f73b42a65fe608790937ddf7b64d457",
+    "lift_EF_n2.json": "5af433030c19f604773b9f63063b8e9c32dab5d0305963fc066181cd56b077fa",
+    "lift_E_n2.json": "6692235e1dc7daba2dcea71af5cefcc1c4207d7385a61b5a4ce0898c06fd7d52",
+    "lift_FE_n2.json": "9bf4d3f55ae4715d1e614f8a8784dccba02568cc31f777b00b8c278a284d6b32",
+    "lift_F_n2.json": "1b23661640b954dbcf08e834a74129f4bf0293873ac296be441c4c5a28779f2c",
+    "multiplication_n2.json": "5e8158fcf576eb1e7394291e2d6bb017110eec23d7bac50ec1d6feb171fd085b",
+    "quiver_n2.json": "cf09a824b2f648033f8b9c9d13c82a6720f1ec55016a0f9376f9f6abd5f020ee",
+    "t_complexes_n2.json": "b204204bfe54b6504d20a4a32f74dbd85852ebef1c8bf934705067c3e75eff97",
+}
+
+
 def test_export_all(tmp_path, capsys):
     code, _ = run(capsys, "export-all", "--n", "2", "--out", str(tmp_path))
     assert code == 0
@@ -225,3 +240,5 @@ def test_export_all(tmp_path, capsys):
     assert "t_complexes_n2.json" in names
     data = json.loads((tmp_path / "multiplication_n2.json").read_text())
     assert len(data["table"]) == 64
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == EXPORT_DIGESTS_N2

@@ -1,4 +1,4 @@
-"""Twisted complexes: validity, cones, K0, tensoring, and the diagonal lift."""
+"""Twisted complexes: validity, K0, tensoring, and the diagonal lift."""
 
 import json
 import os
@@ -60,6 +60,12 @@ def test_mc_negative_controls():
     bad = cx.ProjComplex(c.ops, c.summands, {(0, 1): frozenset([(0, vx.from_seq((1, 0)))])})
     ok, _ = cx.verify_mc(bad)
     assert not ok
+    # an entry past the last summand, or one mixing two degrees, is reported
+    bad = cx.ProjComplex(c.ops, c.summands, {(2, 0): frozenset([(0, vx.from_seq((1, 0)))])})
+    assert cx.verify_mc(bad) == (False, "entry (2,0) out of range")
+    mixed = frozenset([(0, vx.from_seq((1, 0))), (0, 0)])
+    ok, witness = cx.verify_mc(cx.ProjComplex(c.ops, c.summands, {(1, 0): mixed}))
+    assert not ok and witness.startswith("inhomogeneous entry")
 
 
 def test_delta_square_witness():
@@ -150,31 +156,6 @@ def test_contract_check_runs_before_parity_square(monkeypatch):
     assert cx.verify_mc(bad) == (False, "entry (1,0) endpoints do not match summands")
 
 
-def test_cone():
-    n = 2
-    ops = cx.RAlgebraOps(n)
-    M = cx.projective(ops, 0, qshift=-1)
-    N = cx.projective(ops, vx.from_seq((1, 0)))
-    f = cx.ChainMap(M, N, {(0, 0): frozenset([(0, vx.from_seq((1, 0)))])})
-    assert cx.is_closed_map(f)
-    c = cx.cone(f)
-    want = kz.kclass_add(
-        cx.k0_class(N), {v: -coeff for v, coeff in cx.k0_class(M).items()}
-    )
-    assert cx.k0_class(c) == want
-
-
-@pytest.mark.parametrize("entries", [
-    {(1, 0): frozenset([(0, vx.from_seq((1, 0)))])},  # row out of range
-    {(0, 0): frozenset([(0, vx.from_seq((1, 0))), (0, 0)])},  # inhomogeneous
-])
-def test_is_closed_map_rejects_malformed_entries(entries):
-    ops = cx.RAlgebraOps(2)
-    M = cx.projective(ops, 0, qshift=-1)
-    N = cx.projective(ops, vx.from_seq((1, 0)))
-    assert not cx.is_closed_map(cx.ChainMap(M, N, entries))
-
-
 R_MONOS_N2 = [
     (x, w) for x in vx.all_vertices(2) for w in vx.all_vertices(2)
     if ra.basis_mon_r(2, x, w) is not None
@@ -202,25 +183,6 @@ def test_kernel_product_matches_dense_loop(a, b):
                 dense[(k, i)] = acc
     assert cx.mat_then(mult, a, b) == dense
     assert cx.mat_add(a, b, a) == cx.mat_add(b)
-
-
-def test_cone_rejects_open_maps():
-    ops = cx.RAlgebraOps(2)
-    M = cx.projective(ops, 0)  # wrong q-shift for the entry below
-    N = cx.projective(ops, vx.from_seq((1, 0)))
-    f = cx.ChainMap(M, N, {(0, 0): frozenset([(0, vx.from_seq((1, 0)))])})
-    with pytest.raises(ValueError):
-        cx.cone(f)
-
-
-def test_shift_and_k0():
-    c = two_step()
-    s = cx.shift(c, dq=2, dcoh=1)
-    got = cx.k0_class(s)
-    want = {v: LaurentZ.q_power(2, -1) * coeff for v, coeff in cx.k0_class(c).items()}
-    assert got == want
-    ok, _ = cx.verify_mc(s)
-    assert ok
 
 
 def test_tensor_f2_bilinear_on_k0():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,3 +93,17 @@ def test_quiver_json_deterministic():
     b = qv.quiver_json(qv.build_gamma(2))
     assert a == b
     assert len(a["arrows"]) == 4
+
+
+# SHA-256 of the sort_keys JSON of the boxed quiver; fixes its arrow order
+BOX_QUIVER_DIGESTS = {
+    1: "a3a0297a55447bf877cf2b82f5d42c62a59d5e6ed6b3ef2045cd41296889c940",
+    2: "05218fe8ca6fc8ab962153667108b96121a89cd209da380d78f9433e745b0ab1",
+    3: "b86457ea60f5718d4a3df6ee29dc54c3052368e525a79b00f5a0ba0a56df8411",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BOX_QUIVER_DIGESTS))
+def test_box_quiver_json_digest_pinned(n):
+    doc = json.dumps(qv.box_quiver_json(qv.build_gamma_box(n)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == BOX_QUIVER_DIGESTS[n]
