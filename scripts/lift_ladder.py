@@ -23,6 +23,8 @@ MEMOS = {
     "box_mult": cx._box_mult,
     "box_diff": cx._box_diff,
     "lift_entry": cx._lift_entry,
+    "rr_mult": cx._rr_mult,
+    "side_entry": cx._side_entry,
     "act_element": bm.act_element,
     "t_pair": bm.t_pair,
 }

@@ -80,12 +80,15 @@ def t_pair(n, x, y):
 def _case_data(n, xy, kind, t):
     """(target pair, a_t, step, added, uses_generator, slice shift) of one
     generator: it maps the summand of A to that of A with every index above
-    a_t raised by step, plus the indices in added.
+    a_t raised by step, plus the indices in added.  Raises AssertionError if
+    t is out of range at n or the arrow does not apply at xy.
 
     Y side (lower: t-1 in x, upper: t in x): it adds a_t + step iff lower is
     set and uses the generator iff upper is unset.  X side (lower: t+1 in y,
     upper: t+2 in y): it adds a_t + 1 iff upper is set and uses the
     generator iff lower is unset.  On both, step = lower + upper."""
+    if not 0 <= t < n - (kind == DIAG):
+        raise AssertionError(f"no arrow {kind}{t} at n={n}")
     target = apply_arrow(xy, kind, t)
     if target is None:
         raise AssertionError(f"arrow {kind}{t} does not apply at {vx.fmt_pair(xy)}")
@@ -194,11 +197,11 @@ def tensor_T(c):
     n = c.ops.n
     blocks = [t_pair(n, *s.vertex).complex for s in c.summands]
     bases = list(accumulate([len(b.summands) for b in blocks], initial=0))
-    summands = [
+    summands = tuple(
         Summand(t.vertex, s.qshift + t.qshift, s.cohshift + t.cohshift)
         for s, b in zip(c.summands, blocks)
         for t in b.summands
-    ]
+    )
     pieces = [(base, base, b.delta) for base, b in zip(bases, blocks)]
     pieces += [(bases[j], bases[i], act_element(n, e)) for (j, i), e in c.delta.items()]
     delta = {(row + j, col + i): e for row, col, entries in pieces for (j, i), e in entries.items()}
@@ -207,7 +210,7 @@ def tensor_T(c):
             {(row + j, col + i): e for (j, i), e in entries.items()}
             for row, col, entries in pieces
         ))
-    out = ProjComplex(RAlgebraOps(n), summands, delta)
+    out = ProjComplex.normal(RAlgebraOps(n), summands, delta)
     ok, witness = verify_mc(out)
     if not ok:
         raise AssertionError(f"tensor functor produced an invalid complex: {witness}")

@@ -76,7 +76,7 @@ class RRAlgebraOps:
         return qdeg, 0, (left[0], right[0]), (left[1], right[1])
 
     def mult(self, a, b):
-        return ra.mult_rr(self.n, a, b)
+        return _rr_mult(self.n, a, b)
 
     def diff(self, a):
         return frozenset()
@@ -146,15 +146,21 @@ class BoxAlgebraOps:
         return fmt_mono_box(m)
 
 
-# Box products and differentials are memoized on (n, entry), as are
-# entry_degrees and lift_to_box's section: a word lift meets few distinct
-# entries, each many times.  Entries are frozensets, which cache their
-# hashes, and every result is immutable.
+# Box and RR products and Box differentials are memoized on (n, entry), as
+# are entry_degrees and lift_to_box's section, and tensor_f2 takes its side
+# entries from a memo: a word lift meets few distinct entries, each many
+# times.  Entries are frozensets, which cache their hashes, so an entry that
+# one memo returns is found at once in the next; every result is immutable.
 
 
 @lru_cache(maxsize=None)
 def _box_mult(n, a, b):
     return box_algebra(n).mult(a, b)
+
+
+@lru_cache(maxsize=None)
+def _rr_mult(n, a, b):
+    return ra.mult_rr(n, a, b)
 
 
 @lru_cache(maxsize=None)
@@ -180,6 +186,12 @@ class Summand(NamedTuple):
 
 @dataclass
 class ProjComplex:
+    """Summands and a sparse differential over the algebra of ops.
+
+    The constructor normalizes: summands become a tuple, entries frozensets,
+    and empty entries are dropped.  Builders whose data is already in that
+    form (the steps of rho) use ProjComplex.normal, which skips the copy."""
+
     ops: object
     summands: tuple
     delta: dict = field(default_factory=dict)
@@ -187,6 +199,14 @@ class ProjComplex:
     def __post_init__(self):
         self.summands = tuple(self.summands)
         self.delta = {k: frozenset(v) for k, v in self.delta.items() if v}
+
+    @classmethod
+    def normal(cls, ops, summands, delta):
+        """A complex from a tuple of summands and a dict of nonempty
+        frozensets, taken as given: neither is copied."""
+        c = object.__new__(cls)
+        c.ops, c.summands, c.delta = ops, summands, delta
+        return c
 
 
 def projective(ops, v, qshift=0, cohshift=0):
@@ -263,7 +283,7 @@ def map_violation(source, target, entries, degree):
             return f"entry ({j},{i}) out of range"
         si, sj = sources[i], targets[j]
         try:
-            qd, cd, src, tgt = entry_degrees(ops, e)
+            qd, cd, src, tgt = _entry_degrees(ops.tag, ops.n, e)
         except ValueError as exc:
             return str(exc)
         if src != si.vertex or tgt != sj.vertex:
@@ -276,8 +296,11 @@ def map_violation(source, target, entries, degree):
 
 
 def delta_square(c):
-    """Entries of d(delta) + delta*delta, as {(j, i): elem}."""
-    return mat_add(mat_diff(c.ops.diff, c.delta), mat_then(c.ops.mult, c.delta, c.delta))
+    """Entries of d(delta) + delta*delta, as {(j, i): elem}; d = 0 over R and RR."""
+    square = mat_then(c.ops.mult, c.delta, c.delta)
+    if c.ops.tag == "Box":
+        square = mat_add(mat_diff(c.ops.diff, c.delta), square)
+    return square
 
 
 def parity_square(c):
@@ -357,26 +380,37 @@ def tensor_f2(m, nc):
 
     The summand P(v_i) (x) P(w_j) sits at i * w + j, w = len(nc.summands).
     The blocks of d(x)1 and 1(x)d share a key only where both inputs have a
-    diagonal entry (i, i); such keys are summed, every other key is written
-    once.  The result is unchecked: lift_to_box, its one consumer, checks it."""
+    diagonal entry (i, i); such keys are summed, and dropped if they cancel,
+    every other key is written once.  The result is unchecked: lift_to_box,
+    its one consumer, checks it."""
     w = len(nc.summands)
-    summands = [
+    summands = tuple(
         Summand((si.vertex, sj.vertex), si.qshift + sj.qshift, si.cohshift + sj.cohshift)
         for si in m.summands
         for sj in nc.summands
-    ]
+    )
     delta = {}
     for (j, i), e in m.delta.items():
         for j2, sj in enumerate(nc.summands):
-            ident = (sj.vertex, sj.vertex)
-            delta[(j * w + j2, i * w + j2)] = frozenset((mo, ident) for mo in e)
+            delta[(j * w + j2, i * w + j2)] = _side_entry(e, sj.vertex, True)
     for (j, i), e in nc.delta.items():
         for i2, si in enumerate(m.summands):
-            ident = (si.vertex, si.vertex)
             key = (i2 * w + j, i2 * w + i)
-            entry = frozenset((ident, mo) for mo in e)
-            delta[key] = delta[key] ^ entry if key in delta else entry
-    return ProjComplex(RRAlgebraOps(m.ops.n), summands, delta)
+            entry = _side_entry(e, si.vertex, False)
+            if key in delta:
+                entry ^= delta.pop(key)
+            if entry:
+                delta[key] = entry
+    return ProjComplex.normal(RRAlgebraOps(m.ops.n), summands, delta)
+
+
+@lru_cache(maxsize=None)
+def _side_entry(e, v, left):
+    """The RR entry e (x) 1_v if left, else 1_v (x) e."""
+    ident = (v, v)
+    if left:
+        return frozenset((mo, ident) for mo in e)
+    return frozenset((ident, mo) for mo in e)
 
 
 MAX_LIFT_ROUNDS = 10
@@ -401,7 +435,7 @@ def lift_to_box(c):
     ops = BoxAlgebraOps(n)
     alg = ops.algebra
     delta = {key: _lift_entry(n, e) for key, e in c.delta.items()}
-    out = ProjComplex(ops, c.summands, delta)
+    out = ProjComplex.normal(ops, c.summands, delta)
     for _ in range(MAX_LIFT_ROUNDS):
         residual = delta_square(out)
         if not residual:
@@ -433,7 +467,7 @@ def lift_to_box(c):
             corrections[(j, i)] = frozenset(
                 (src, basis[b]) for b in range(len(basis)) if combo >> b & 1
             )
-        out = ProjComplex(ops, out.summands, mat_add(out.delta, corrections))
+        out = ProjComplex.normal(ops, out.summands, mat_add(out.delta, corrections))
     else:
         raise LiftError("diagonal correction search did not converge")
     # the loop left on delta_square(out) == {}, so only the contract is open

@@ -126,6 +126,16 @@ def test_right_act_chainmap_rejects_arrow_that_does_not_apply(xy, kind):
         bm.right_act_chainmap(2, xy, kind, 0)
 
 
+@pytest.mark.parametrize("kind, t", [(XSIDE, 2), (YSIDE, 5), (DIAG, 1), (XSIDE, -1)])
+def test_generator_out_of_range_raises(kind, t):
+    # at n = 2 the generators are X0, X1, Y0, Y1 and D0; X2 would insert
+    # {2, 3} and map into T([3,2], []), off the vertices of {0..2}
+    with pytest.raises(AssertionError, match=f"no arrow {kind}{t} at n=2"):
+        bm.right_act_chainmap(2, (0, 0), kind, t)
+    with pytest.raises(AssertionError, match=f"no arrow {kind}{t} at n=2"):
+        bm.act_element(2, frozenset([((0, 0), ((kind, t),))]))
+
+
 def test_act_element_rejects_path_that_leaves_the_quiver():
     # the second X0 does not apply after the first
     with pytest.raises(AssertionError, match=f"arrow {XSIDE}0 does not apply"):

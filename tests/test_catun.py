@@ -103,20 +103,54 @@ def test_rho_checks_contract_twice(monkeypatch):
     assert len(calls) == 2
 
 
-def test_rho_sums_diagonal_collisions():
-    # complexes with a diagonal entry break the contract, but rho must still
-    # sum, not overwrite: over R the two identity loops cancel in tensor_f2,
-    # so rho(P(v) with loop, P(w) with loop) is T(v, w)
-    n = 2
+def _identity_loops(n=2):
+    """P([0]) and P([1]), each with the identity loop as its differential."""
     ops = cx.RAlgebraOps(n)
     v, w = 1 << 0, 1 << 1
     loop_v = cx.ProjComplex(ops, [cx.Summand(v, 0, 0)], {(0, 0): {(v, v)}})
     loop_w = cx.ProjComplex(ops, [cx.Summand(w, 0, 0)], {(0, 0): {(w, w)}})
+    return loop_v, loop_w
+
+
+def test_rho_sums_diagonal_collisions():
+    # complexes with a diagonal entry break the contract, but rho must still
+    # sum, not overwrite: over R the two identity loops cancel in tensor_f2,
+    # so rho(P(v) with loop, P(w) with loop) is T(v, w)
+    loop_v, loop_w = _identity_loops()
+    v, w = loop_v.summands[0].vertex, loop_w.summands[0].vertex
     got = cu.rho(loop_v, loop_w)
-    T = bm.t_pair(n, v, w).complex
+    T = bm.t_pair(2, v, w).complex
     assert got.summands == T.summands and got.delta == T.delta
     with pytest.raises(cx.LiftError):
-        cu.rho(loop_v, cx.projective(ops, w))
+        cu.rho(loop_v, cx.projective(loop_v.ops, w))
+
+
+def test_delta_square_skips_zero_differential(monkeypatch):
+    # over R and RR, d = 0 and delta_square is the product alone; the full
+    # formula d(delta) + delta*delta is its oracle, on squares zero and not
+    loop_v, loop_w = _identity_loops()
+    bare_w = cx.projective(loop_v.ops, 1 << 1)
+    complexes = [loop_v, loop_w, cx.tensor_f2(loop_v, loop_w), cx.tensor_f2(loop_v, bare_w)]
+    real_f2 = cx.tensor_f2
+
+    def record(m, nc):
+        out = real_f2(m, nc)
+        complexes.extend([m, nc, out])
+        return out
+
+    monkeypatch.setattr(cu, "tensor_f2", record)
+    for n in (1, 2, 3):
+        for w in ck.WORDS:
+            for tree in ck.all_trees(0, len(w)):
+                cu.lift_word(n, cu.Word(w, tree))
+    assert {c.ops.tag for c in complexes} == {"R", "RR"}
+    assert any(cx.delta_square(c) for c in complexes)
+    for c in complexes:
+        ops = c.ops
+        full = cx.mat_add(
+            cx.mat_diff(ops.diff, c.delta), cx.mat_then(ops.mult, c.delta, c.delta)
+        )
+        assert cx.delta_square(c) == full
 
 
 # Box products are only met where both factors of a rho step have a
@@ -144,6 +178,8 @@ RHO_MEMOS = [
     (cx, "_box_mult"),
     (cx, "_box_diff"),
     (cx, "_lift_entry"),
+    (cx, "_rr_mult"),
+    (cx, "_side_entry"),
     (bm, "act_element"),
 ]
 
@@ -174,6 +210,29 @@ def test_rho_memos_match_fresh_computation(monkeypatch):
         fresh = memos[name].__wrapped__
         for args, out in calls.items():
             assert out == fresh(*args), (name, args)
+
+
+def test_rho_builds_normalized_complexes(monkeypatch):
+    # tensor_f2, lift_to_box and tensor_T skip the normalizing copy, so each
+    # complex they build must already be in the form the constructor makes
+    built = []
+    for name in ("tensor_f2", "lift_to_box", "tensor_T"):
+        step = getattr(cu, name)
+
+        def record(*args, step=step):
+            built.append(out := step(*args))
+            return out
+
+        monkeypatch.setattr(cu, name, record)
+    for n in (1, 2, 3):
+        for w in LIFT_WORDS:
+            for tree in ck.all_trees(0, len(w)):
+                cu.lift_word(n, cu.Word(w, tree))
+    assert {c.ops.tag for c in built} == {"R", "RR", "Box"}
+    for c in built:
+        assert type(c.summands) is tuple
+        assert all(type(e) is frozenset and e for e in c.delta.values())
+        assert c == cx.ProjComplex(c.ops, c.summands, c.delta)
 
 
 def test_rho_k0_multiplicative():
