@@ -15,9 +15,9 @@ axioms are swept by cliffcat.checks.bimodule_failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from . import kzero as kz
 from . import ralgebra as ra
@@ -35,8 +35,7 @@ from .complexes import (
 from .quiver import DIAG, XSIDE, YSIDE, apply_arrow, pair_mask
 
 
-@dataclass
-class TPair:
+class TPair(NamedTuple):
     """T(x, y) as a twisted complex plus the subset-to-summand bookkeeping."""
 
     complex: ProjComplex
@@ -51,7 +50,7 @@ def t_pair(n, x, y):
     ]
     index = {A: i for i, (_, A, _, _) in enumerate(slices)}
     pd = kz.pair_data(x, y)
-    summands = [Summand(mon, e, k) for k, A, e, mon in slices]
+    summands = tuple(Summand(mon, e, k) for k, A, e, mon in slices)
     delta = {}
     for i, (k, A, e, mon) in enumerate(slices):
         for step in range(1, pd.p + 1):
@@ -210,7 +209,7 @@ def tensor_T(c):
             {(row + j, col + i): e for (j, i), e in entries.items()}
             for row, col, entries in pieces
         ))
-    out = ProjComplex.normal(RAlgebraOps(n), summands, delta)
+    out = ProjComplex(RAlgebraOps(n), summands, delta)
     ok, witness = verify_mc(out)
     if not ok:
         raise AssertionError(f"tensor functor produced an invalid complex: {witness}")

@@ -27,8 +27,8 @@ LETTERS = ("One", "Q", "Qinv", "E", "F")
 
 def _letter(n, first):
     """The direct sum of P([i]) over i = first, first + 2, ... up to n."""
-    summands = [Summand(vx.from_seq((i,)), 0, 0) for i in range(first, n + 1, 2)]
-    return ProjComplex(RAlgebraOps(n), summands)
+    summands = tuple(Summand(vx.from_seq((i,)), 0, 0) for i in range(first, n + 1, 2))
+    return ProjComplex(RAlgebraOps(n), summands, {})
 
 
 def make_E(n):

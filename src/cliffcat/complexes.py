@@ -10,7 +10,6 @@ contract cohdeg(entry) + b_j - b_i = 1 and qdeg(entry) = a_j - a_i.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -184,29 +183,17 @@ class Summand(NamedTuple):
     cohshift: int
 
 
-@dataclass
-class ProjComplex:
+class ProjComplex(NamedTuple):
     """Summands and a sparse differential over the algebra of ops.
 
-    The constructor normalizes: summands become a tuple, entries frozensets,
-    and empty entries are dropped.  Builders whose data is already in that
-    form (the steps of rho) use ProjComplex.normal, which skips the copy."""
+    summands is a tuple of Summand, and delta maps (j, i) to a nonempty
+    frozenset.  Both are taken as given, not copied or normalized: every
+    builder makes them in that form, and complex_from_json normalizes data
+    from outside."""
 
     ops: object
     summands: tuple
-    delta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.summands = tuple(self.summands)
-        self.delta = {k: frozenset(v) for k, v in self.delta.items() if v}
-
-    @classmethod
-    def normal(cls, ops, summands, delta):
-        """A complex from a tuple of summands and a dict of nonempty
-        frozensets, taken as given: neither is copied."""
-        c = object.__new__(cls)
-        c.ops, c.summands, c.delta = ops, summands, delta
-        return c
+    delta: dict
 
 
 def projective(ops, v, qshift=0, cohshift=0):
@@ -401,7 +388,7 @@ def tensor_f2(m, nc):
                 entry ^= delta.pop(key)
             if entry:
                 delta[key] = entry
-    return ProjComplex.normal(RRAlgebraOps(m.ops.n), summands, delta)
+    return ProjComplex(RRAlgebraOps(m.ops.n), summands, delta)
 
 
 @lru_cache(maxsize=None)
@@ -413,18 +400,15 @@ def _side_entry(e, v, left):
     return frozenset((ident, mo) for mo in e)
 
 
-MAX_LIFT_ROUNDS = 10
-
-
 def lift_to_box(c):
     """Lift a tensor-square complex to the DG thickening.
 
-    Entries are lifted through the side-generator section; diagonal-generator
-    corrections of lower cohomological degree are then solved for round by
-    round until the validity condition holds.  Raises LiftError if
-    d(delta) + delta^2 != 0 over RR, if some residual entry is inhomogeneous
-    or not a boundary in its Hom-space, or if the result breaks the degree
-    contract.
+    Entries are lifted through the side-generator section; each entry of the
+    residual d(delta) + delta^2 then gets one diagonal-generator correction
+    of lower cohomological degree, and the corrected complex is checked with
+    verify_mc.  Raises LiftError if d(delta) + delta^2 != 0 over RR, if some
+    residual entry is inhomogeneous or not a boundary in its Hom-space, or if
+    the result is not a valid complex.
     """
     if c.ops.tag != "RR":
         raise AssertionError(f"lift_to_box needs a tensor-square complex, got {c.ops.tag}")
@@ -433,48 +417,38 @@ def lift_to_box(c):
         raise LiftError(f"d(delta)+delta^2 nonzero over RR at {min(square)}")
     n = c.ops.n
     ops = BoxAlgebraOps(n)
-    alg = ops.algebra
     delta = {key: _lift_entry(n, e) for key, e in c.delta.items()}
-    out = ProjComplex.normal(ops, c.summands, delta)
-    for _ in range(MAX_LIFT_ROUNDS):
-        residual = delta_square(out)
-        if not residual:
-            break
-        corrections = {}
-        for (j, i), e in sorted(residual.items()):
-            try:  # entries off their endpoints can give a mixed residual
-                _, cd, src, tgt = entry_degrees(ops, e)
-            except ValueError as exc:
-                raise LiftError(f"residual at ({j},{i}): {exc}") from None
-            basis = alg.hom_basis(src, tgt, cohdeg=cd - 1)
-            columns = []
-            index = {}
-            for p in alg.hom_basis(src, tgt, cohdeg=cd):
-                index[(src, p)] = len(index)
-            for p in basis:
-                vec = 0
-                for mono in alg.diff_mono((src, p)):
-                    vec ^= 1 << index[mono]
-                columns.append(vec)
-            target_vec = 0
-            for mono in e:
-                target_vec ^= 1 << index[mono]
-            combo = gf2.solve(columns, target_vec)
-            if combo is None:
-                raise LiftError(
-                    f"unliftable complex: residual at ({j},{i}) is not a boundary"
-                )
-            corrections[(j, i)] = frozenset(
-                (src, basis[b]) for b in range(len(basis)) if combo >> b & 1
-            )
-        out = ProjComplex.normal(ops, out.summands, mat_add(out.delta, corrections))
-    else:
-        raise LiftError("diagonal correction search did not converge")
-    # the loop left on delta_square(out) == {}, so only the contract is open
-    witness = contract_violation(out)
+    out = ProjComplex(ops, c.summands, delta)
+    residual = delta_square(out)
+    if residual:
+        corrections = {key: _correction(ops, key, e) for key, e in sorted(residual.items())}
+        out = ProjComplex(ops, c.summands, mat_add(delta, corrections))
+        _, witness = verify_mc(out)
+    else:  # the square is zero, so only the contract is open
+        witness = contract_violation(out)
     if witness is not None:
         raise LiftError(witness)
     return out
+
+
+def _correction(ops, key, e):
+    """A Box element of one lower cohomological degree whose differential is
+    the residual entry e at key; raises LiftError if there is none."""
+    j, i = key
+    try:  # entries off their endpoints can give a mixed residual
+        _, cd, src, tgt = entry_degrees(ops, e)
+    except ValueError as exc:
+        raise LiftError(f"residual at ({j},{i}): {exc}") from None
+    alg = ops.algebra
+    basis = alg.hom_basis(src, tgt, cohdeg=cd - 1)
+    index = {(src, p): k for k, p in enumerate(alg.hom_basis(src, tgt, cohdeg=cd))}
+    # e and each diff_mono are sets of distinct classes, so summing their
+    # bits is their F2 sum as a vector over the degree-cd basis
+    columns = [sum(1 << index[m] for m in alg.diff_mono((src, p))) for p in basis]
+    combo = gf2.solve(columns, sum(1 << index[m] for m in e))
+    if combo is None:
+        raise LiftError(f"unliftable complex: residual at ({j},{i}) is not a boundary")
+    return frozenset((src, basis[b]) for b in range(len(basis)) if combo >> b & 1)
 
 
 @lru_cache(maxsize=None)
@@ -549,14 +523,14 @@ def complex_from_json(data):
     if n > vx.MAX_N:
         raise ValueError(f"n must be at most {vx.MAX_N}, got {n}")
     ops = _OPS[tag](n)
-    summands = [
+    summands = tuple(
         Summand(
             ops.vertex_from_json(_field(s, "vertex", "summand")),
             _int(s, "qshift", "summand"),
             _int(s, "cohshift", "summand"),
         )
         for s in _list(_field(data, "summands", "complex"), "summands")
-    ]
+    )
     delta = {}
     for item in _list(_field(data, "delta", "complex"), "delta"):
         key = (_int(item, "row", "delta entry"), _int(item, "col", "delta entry"))
@@ -569,4 +543,5 @@ def complex_from_json(data):
         delta[key] = frozenset(monomials)
         if len(delta[key]) < len(monomials):
             raise ValueError(f"delta entry {key} lists one monomial twice")
-    return ProjComplex(ops, summands, delta)
+    # an empty entry is zero: dropped only now, so a key after it still repeats
+    return ProjComplex(ops, summands, {key: e for key, e in delta.items() if e})

@@ -186,7 +186,7 @@ def test_generator_degree_check_negative_control(broken):
         summands = list(ch.target.summands)
         s = summands[j]
         summands[j] = cx.Summand(s.vertex, s.qshift + 1, s.cohshift)
-        target = cx.ProjComplex(ch.target.ops, summands, ch.target.delta)
+        target = cx.ProjComplex(ch.target.ops, tuple(summands), ch.target.delta)
         mutated = cx.ChainMap(ch.source, target, ch.entries)
         want = "violates the q contract"
     def act(*args):
@@ -243,7 +243,9 @@ def test_tensor_T_sums_colliding_blocks(monkeypatch):
     n = 2
     x, y = vx.from_seq((0,)), vx.from_seq((1,))
     mono = ((0, 0), ((YSIDE, 1), (XSIDE, 0)))
-    c = cx.ProjComplex(cx.BoxAlgebraOps(n), [cx.Summand((x, y), 0, 0)], {(0, 0): {mono}})
+    c = cx.ProjComplex(
+        cx.BoxAlgebraOps(n), (cx.Summand((x, y), 0, 0),), {(0, 0): frozenset({mono})}
+    )
     act = bm.act_element(n, frozenset([mono]))
     T = bm.t_pair(n, x, y).complex
     assert set(act) & set(T.delta)
@@ -262,7 +264,7 @@ def test_tensor_T_sums_colliding_blocks(monkeypatch):
 
 
 def test_tensor_T_zero():
-    out = bm.tensor_T(cx.ProjComplex(cx.BoxAlgebraOps(2), ()))
+    out = bm.tensor_T(cx.ProjComplex(cx.BoxAlgebraOps(2), (), {}))
     assert out.summands == () and not out.delta
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -67,14 +68,15 @@ def _invalid_r_complexes(n=4):
     S = cx.Summand
     square = cx.ProjComplex(
         ops, (S(a, 0, 0), S(b, q(ab), 1), S(c, q(ab) + q(bc), 2)),
-        {(1, 0): {ab}, (2, 1): {bc}},
+        {(1, 0): frozenset({ab}), (2, 1): frozenset({bc})},
     )
-    q_off = cx.ProjComplex(ops, (S(a, 0, 0), S(b, q(ab) + 1, 1)), {(1, 0): {ab}})
-    ends_off = cx.ProjComplex(ops, (S(a, 0, 0), S(b, q(ae), 1)), {(1, 0): {ae}})
+    q_off = cx.ProjComplex(ops, (S(a, 0, 0), S(b, q(ab) + 1, 1)), {(1, 0): frozenset({ab})})
+    ends_off = cx.ProjComplex(ops, (S(a, 0, 0), S(b, q(ae), 1)), {(1, 0): frozenset({ae})})
     # a -> b -> c and a -> e -> c2 land in one entry of delta^2: mixed endpoints
     mixed = cx.ProjComplex(
         ops, (S(a, 0, 0), S(b, q(ab), 1), S(c, q(ab) + q(bc), 2), S(e, q(ae), 1)),
-        {(1, 0): {ab}, (2, 1): {bc}, (3, 0): {ae}, (2, 3): {ec2}},
+        {(1, 0): frozenset({ab}), (2, 1): frozenset({bc}),
+         (3, 0): frozenset({ae}), (2, 3): frozenset({ec2})},
     )
     return {"square": square, "q_off": q_off, "ends_off": ends_off, "mixed": mixed}
 
@@ -107,8 +109,8 @@ def _identity_loops(n=2):
     """P([0]) and P([1]), each with the identity loop as its differential."""
     ops = cx.RAlgebraOps(n)
     v, w = 1 << 0, 1 << 1
-    loop_v = cx.ProjComplex(ops, [cx.Summand(v, 0, 0)], {(0, 0): {(v, v)}})
-    loop_w = cx.ProjComplex(ops, [cx.Summand(w, 0, 0)], {(0, 0): {(w, w)}})
+    loop_v = cx.ProjComplex(ops, (cx.Summand(v, 0, 0),), {(0, 0): frozenset({(v, v)})})
+    loop_w = cx.ProjComplex(ops, (cx.Summand(w, 0, 0),), {(0, 0): frozenset({(w, w)})})
     return loop_v, loop_w
 
 
@@ -213,8 +215,8 @@ def test_rho_memos_match_fresh_computation(monkeypatch):
 
 
 def test_rho_builds_normalized_complexes(monkeypatch):
-    # tensor_f2, lift_to_box and tensor_T skip the normalizing copy, so each
-    # complex they build must already be in the form the constructor makes
+    # ProjComplex takes its data as given, so every builder must make it in
+    # normal form: a tuple of summands and nonempty frozenset entries
     built = []
     for name in ("tensor_f2", "lift_to_box", "tensor_T"):
         step = getattr(cu, name)
@@ -229,10 +231,54 @@ def test_rho_builds_normalized_complexes(monkeypatch):
             for tree in ck.all_trees(0, len(w)):
                 cu.lift_word(n, cu.Word(w, tree))
     assert {c.ops.tag for c in built} == {"R", "RR", "Box"}
+    built += [cx.complex_from_json(cx.complex_to_json(c)) for c in built]
+    for n in (1, 2, 3):
+        verts = vx.all_vertices(n)
+        built += [bm.t_pair(n, x, y).complex for x in verts for y in verts]
+        built += [cu.letter_complex(n, letter) for letter in cu.LETTERS]
+        built += [cx.projective(cx.RAlgebraOps(n), 0), cx.projective(cx.BoxAlgebraOps(n), (0, 0))]
     for c in built:
         assert type(c.summands) is tuple
         assert all(type(e) is frozenset and e for e in c.delta.values())
-        assert c == cx.ProjComplex(c.ops, c.summands, c.delta)
+
+
+def test_lift_without_correction_is_refused(monkeypatch):
+    # among the four-letter E/F lifts at n = 3 only EFFE and FEEF under
+    # ((0, 1), (2, 3)) take a diagonal correction, and EFEF takes none under
+    # any tree; with no correction, lift_to_box must refuse the lift
+    monkeypatch.setattr(cx, "_correction", lambda ops, key, e: frozenset())
+    for tree in ck.all_trees(0, 4):
+        cu.lift_word(3, cu.Word(tuple("EFEF"), tree))
+    for w in ("EFFE", "FEEF"):
+        with pytest.raises(cx.LiftError, match=r"d\(delta\)\+delta\^2 nonzero"):
+            cu.lift_word(3, cu.Word(tuple(w), ((0, 1), (2, 3))))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_one_correction_pass_lifts_five_letter_words(monkeypatch, n):
+    # every five-letter E/F word under every tree: 40 lift_to_box calls take
+    # a correction, and every lift is valid after its one pass
+    real_correction, real_lift = cx._correction, cu.lift_to_box
+    corrections, lifted = [], []
+
+    def correction(*args):
+        corrections.append(args)
+        return real_correction(*args)
+
+    def lift(c):
+        before = len(corrections)
+        lifted.append((out := real_lift(c), len(corrections) > before))
+        return out
+
+    monkeypatch.setattr(cx, "_correction", correction)
+    monkeypatch.setattr(cu, "lift_to_box", lift)
+    for w in product("EF", repeat=5):
+        for tree in ck.all_trees(0, 5):
+            cu.lift_word(n, cu.Word(w, tree))
+    assert sum(took for _, took in lifted) == 40
+    for c, _ in lifted:
+        ok, witness = cx.verify_mc(c)
+        assert ok, witness
 
 
 def test_rho_k0_multiplicative():

@@ -221,9 +221,9 @@ def test_tensor_f2_sums_diagonal_collisions():
     n = 2
     ops = cx.RAlgebraOps(n)
     v, w = vx.from_seq((1, 0)), vx.from_seq((2,))
-    loop_v = cx.ProjComplex(ops, [cx.Summand(v, 0, 0)], {(0, 0): {(v, v)}})
-    loop_w = cx.ProjComplex(ops, [cx.Summand(w, 0, 0)], {(0, 0): {(w, w)}})
-    mixed_w = cx.ProjComplex(ops, [cx.Summand(w, 0, 0)], {(0, 0): {(w, w), (0, w)}})
+    loop_v = cx.ProjComplex(ops, (cx.Summand(v, 0, 0),), {(0, 0): frozenset({(v, v)})})
+    loop_w = cx.ProjComplex(ops, (cx.Summand(w, 0, 0),), {(0, 0): frozenset({(w, w)})})
+    mixed_w = cx.ProjComplex(ops, (cx.Summand(w, 0, 0),), {(0, 0): frozenset({(w, w), (0, w)})})
     for m, nc in [(two_step(), two_step()), (loop_v, loop_w), (loop_v, mixed_w),
                   (two_step(), loop_w), (loop_v, two_step())]:
         assert cx.tensor_f2(m, nc).delta == _tensor_f2_oracle(m, nc)
@@ -251,7 +251,7 @@ def test_lift_to_box_keeps_contract_check():
     [(j, i)] = good.delta
     summands = list(good.summands)
     summands[i] = cx.Summand(summands[i].vertex, summands[i].qshift + 1, summands[i].cohshift)
-    bad = cx.ProjComplex(good.ops, summands, good.delta)
+    bad = cx.ProjComplex(good.ops, tuple(summands), good.delta)
     assert not cx.delta_square(bad)
     with pytest.raises(cx.LiftError, match="q contract"):
         cx.lift_to_box(bad)
@@ -308,6 +308,9 @@ def test_json_round_trip_all_tags():
         assert back.summands == c.summands
         assert back.delta == c.delta
         assert back.ops.tag == c.ops.tag
+        # an empty entry is zero, and the decoder drops it
+        data["delta"].append({"row": 0, "col": 0, "monomials": []})
+        assert cx.complex_from_json(data).delta == c.delta
 
 
 @pytest.mark.parametrize("arrows, message", [
@@ -354,6 +357,10 @@ def _r_entry_twice(data):
     data["delta"][0]["monomials"] *= 2
 
 
+def _empty_entry_then_repeat(data):
+    data["delta"].insert(0, {"row": 1, "col": 0, "monomials": []})
+
+
 def _box_entry_twice(data):
     # X0 and Y0 commute, so both orders name one class; over F2 the entry
     # listing both is their sum, 0
@@ -377,6 +384,7 @@ def _box_entry_twice(data):
     (_bad_col, "error: delta entry (1, -1) out of range for 2 summands"),
     (lambda d: d["delta"][0]["monomials"][0].reverse(), "error: no R monomial [1,0] -> []"),
     (_r_entry_twice, "error: delta entry (1, 0) lists one monomial twice"),
+    (_empty_entry_then_repeat, "error: delta entry (1, 0) repeated"),
     (_box_entry_twice, "error: delta entry (3, 0) lists one monomial twice"),
 ])
 def test_bad_complex_json_is_usage_error(tmp_path, capsys, edit, message):
