@@ -441,11 +441,19 @@ def _correction(ops, key, e):
         raise LiftError(f"residual at ({j},{i}): {exc}") from None
     alg = ops.algebra
     basis = alg.hom_basis(src, tgt, cohdeg=cd - 1)
-    index = {(src, p): k for k, p in enumerate(alg.hom_basis(src, tgt, cohdeg=cd))}
-    # e and each diff_mono are sets of distinct classes, so summing their
-    # bits is their F2 sum as a vector over the degree-cd basis
-    columns = [sum(1 << index[m] for m in alg.diff_mono((src, p))) for p in basis]
-    combo = gf2.solve(columns, sum(1 << index[m] for m in e))
+    columns = []
+    index = {}
+    for p in alg.hom_basis(src, tgt, cohdeg=cd):
+        index[(src, p)] = len(index)
+    for p in basis:
+        vec = 0
+        for mono in alg.diff_mono((src, p)):
+            vec ^= 1 << index[mono]
+        columns.append(vec)
+    target_vec = 0
+    for mono in e:
+        target_vec ^= 1 << index[mono]
+    combo = gf2.solve(columns, target_vec)
     if combo is None:
         raise LiftError(f"unliftable complex: residual at ({j},{i}) is not a boundary")
     return frozenset((src, basis[b]) for b in range(len(basis)) if combo >> b & 1)

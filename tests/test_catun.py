@@ -250,7 +250,7 @@ def test_lift_without_correction_is_refused(monkeypatch):
     for tree in ck.all_trees(0, 4):
         cu.lift_word(3, cu.Word(tuple("EFEF"), tree))
     for w in ("EFFE", "FEEF"):
-        with pytest.raises(cx.LiftError, match=r"d\(delta\)\+delta\^2 nonzero"):
+        with pytest.raises(cx.LiftError, match=r"d\(delta\)\+delta\^2 nonzero at \("):
             cu.lift_word(3, cu.Word(tuple(w), ((0, 1), (2, 3))))
 
 

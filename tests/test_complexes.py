@@ -115,7 +115,7 @@ def contract_r_complexes(draw):
         min_size=1, max_size=8,
     ))
     verts = [reduce(or_, map(pair_mask, lows), 0) for lows, _ in cells]
-    summands = [cx.Summand(v, _r_potential(n, v), b) for v, (_, b) in zip(verts, cells)]
+    summands = tuple(cx.Summand(v, _r_potential(n, v), b) for v, (_, b) in zip(verts, cells))
     allowed = [
         (j, i)
         for i, si in enumerate(summands)
