@@ -143,13 +143,7 @@ class BoxAlgebra:
         return (s1, self.normal_form(s1, a1 + a2))
 
     def mult(self, a, b):
-        out = set()
-        for m1 in a:
-            for m2 in b:
-                m = self.mult_mono(m1, m2)
-                if m is not None:
-                    out.symmetric_difference_update([m])
-        return frozenset(out)
+        return ra.f2_sum([m for m1 in a for m2 in b if (m := self.mult_mono(m1, m2)) is not None])
 
     def diff_mono(self, mono):
         """Leibniz differential of a basis class, as an F2 set of classes.
@@ -171,10 +165,7 @@ class BoxAlgebra:
         return frozenset(out)
 
     def diff(self, a):
-        out = set()
-        for m in a:
-            out.symmetric_difference_update(self.diff_mono(m))
-        return frozenset(out)
+        return ra.f2_sum([dm for m in a for dm in self.diff_mono(m)])
 
     # -- cohomology and the comparison map ----------------------------------
 
@@ -219,12 +210,7 @@ class BoxAlgebra:
         return (left, right)
 
     def h_map(self, a):
-        out = set()
-        for m in a:
-            hm = self.h_map_mono(m)
-            if hm is not None:
-                out.symmetric_difference_update([hm])
-        return frozenset(out)
+        return ra.f2_sum([hm for m in a if (hm := self.h_map_mono(m)) is not None])
 
     def section_rr(self, mono_rr):
         """Canonical preimage of a tensor-square monomial: X moves then Y moves."""

@@ -77,8 +77,7 @@ class RRAlgebraOps:
     def mult(self, a, b):
         return _rr_mult(self.n, a, b)
 
-    def diff(self, a):
-        return frozenset()
+    diff = RAlgebraOps.diff
 
     def mono_json(self, m):
         return [[list(vx.seq(e)) for e in m[0]], [list(vx.seq(e)) for e in m[1]]]
@@ -135,11 +134,8 @@ class BoxAlgebraOps:
             raise ValueError(f"{self.fmt_mono((source, arrows))} is not a Box path")
         return (source, canon)
 
-    def vertex_json(self, v):
-        return [list(vx.seq(v[0])), list(vx.seq(v[1]))]
-
-    def vertex_from_json(self, data):
-        return _vertex_pair_from_json(data, self.n)
+    vertex_json = RRAlgebraOps.vertex_json
+    vertex_from_json = RRAlgebraOps.vertex_from_json
 
     def fmt_mono(self, m):
         return fmt_mono_box(m)

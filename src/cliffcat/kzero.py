@@ -135,17 +135,17 @@ def iota_letter(n, letter):
         return {vx.from_seq((i,)): LaurentZ.unit() for i in range(0, n + 1, 2)}
     if letter == "F":
         return {vx.from_seq((i,)): LaurentZ.unit() for i in range(1, n + 1, 2)}
-    if letter in ("1", "One"):
+    if letter == "One":
         return kclass(0)
-    if letter in ("q", "Q"):
+    if letter == "Q":
         return kclass(0, LaurentZ.q_power(1))
-    if letter in ("q-1", "Qinv"):
+    if letter == "Qinv":
         return kclass(0, LaurentZ.q_power(-1))
     raise ValueError(f"unknown letter {letter!r}")
 
 
 def iota(n, letters, tree=None):
-    """Image of a word over {E, F, q, Qinv, One}, folded over an association
+    """Image of a word over {One, Q, Qinv, E, F}, folded over an association
     tree of leaf indices, or left to right when no tree is given."""
     if tree is None:
         acc = kclass(0)

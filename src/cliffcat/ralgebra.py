@@ -19,39 +19,23 @@ from . import vertices as vx
 # normal-form monomials
 
 
-def run_decomposition(diff):
-    """Maximal runs of consecutive integers in the mask diff, as (start, len)."""
-    runs = []
-    s = 0
-    m = diff
-    while m:
-        if m & 1:
-            start = s
-            ln = 0
-            while m & 1:
-                m >>= 1
-                s += 1
-                ln += 1
-            runs.append((start, ln))
-        else:
-            m >>= 1
-            s += 1
-    return runs
-
-
 @lru_cache(maxsize=None)
 def forced_pairs(x, w):
     """Pair-lows of the unique pair decomposition of w - x, or None.
 
     None when x is not contained in w or some run of w - x has odd length.
+    The walk pairs the lowest bit left with the one above it.
     """
     if x & ~w:
         return None
     pairs = []
-    for start, ln in run_decomposition(w & ~x):
-        if ln % 2:
+    rest = w & ~x
+    while rest:
+        low = rest & -rest
+        if not rest & low << 1:
             return None
-        pairs.extend(range(start, start + ln, 2))
+        pairs.append(low.bit_length() - 1)
+        rest ^= low * 3
     return tuple(pairs)
 
 
@@ -91,14 +75,19 @@ def mult_mono_r(n, m1, m2):
 # F2 elements are frozensets of monomials
 
 
-def mult_r(n, a, b):
+def f2_sum(monomials):
+    """The monomials that occur an odd number of times."""
     out = set()
-    for m1 in a:
-        for m2 in b:
-            m = mult_mono_r(n, m1, m2)
-            if m is not None:
-                out.symmetric_difference_update([m])
+    for m in monomials:
+        if m in out:
+            out.remove(m)
+        else:
+            out.add(m)
     return frozenset(out)
+
+
+def mult_r(n, a, b):
+    return f2_sum([m for m1 in a for m2 in b if (m := mult_mono_r(n, m1, m2)) is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +148,7 @@ def mult_mono_rr(n, m1, m2):
 
 
 def mult_rr(n, a, b):
-    out = set()
-    for m1 in a:
-        for m2 in b:
-            m = mult_mono_rr(n, m1, m2)
-            if m is not None:
-                out.symmetric_difference_update([m])
-    return frozenset(out)
+    return f2_sum([m for m1 in a for m2 in b if (m := mult_mono_rr(n, m1, m2)) is not None])
 
 
 def dim_rr(n, src_pair, tgt_pair):

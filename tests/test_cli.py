@@ -122,6 +122,13 @@ def test_broken_product_is_reported(monkeypatch):
     assert witness in ck.associativity_failures(2)[0]
 
 
+def test_suite_seconds_survive_a_clock_step(monkeypatch):
+    # the wall clock may step back while a suite runs; its duration may not
+    clock = iter(range(1000, 0, -1))
+    monkeypatch.setattr(cli.time, "time", lambda: float(next(clock)))
+    assert cli.run_suite("quiver", 1).seconds >= 0
+
+
 def test_verify_caps_n(capsys):
     # bound capping keeps oversized n runnable; --bound-override lifts the cap
     code, out = run(capsys, "verify", "--n", "9", "--suite", "catun")

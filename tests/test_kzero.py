@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliffcat import checks as ck
@@ -265,7 +266,11 @@ def test_iota_word_fold():
     n = 2
     ef = kz.iota(n, ("E", "F"))
     assert ef == kz.mult(n, kz.iota_letter(n, "E"), kz.iota_letter(n, "F"))
-    assert kz.iota(n, ("q", "q-1")) == kz.kclass(0)
+    assert kz.iota(n, ("Q", "Qinv")) == kz.kclass(0)
+    # the aliases of catun.parse_word are not letters
+    for alias in ("1", "q", "q-1"):
+        with pytest.raises(ValueError, match="unknown letter"):
+            kz.iota_letter(n, alias)
 
 
 def test_fmt_kclass():

@@ -1,16 +1,60 @@
 """The F2 pair-insertion algebra against the path-enumeration oracle."""
 
-from hypothesis import given, settings, strategies as st
+from collections import Counter
+
+from hypothesis import example, given, settings, strategies as st
 
 from cliffcat import complexes as cx
 from cliffcat import ralgebra as ra
 from cliffcat import vertices as vx
 
 
-def test_run_decomposition():
-    assert ra.run_decomposition(0) == []
-    assert ra.run_decomposition(0b11) == [(0, 2)]
-    assert ra.run_decomposition(0b1101110) == [(1, 3), (5, 2)]
+def run_decomposition(diff):
+    """Maximal runs of consecutive integers in the mask diff, as (start, len)."""
+    runs = []
+    s = 0
+    m = diff
+    while m:
+        if m & 1:
+            start = s
+            ln = 0
+            while m & 1:
+                m >>= 1
+                s += 1
+                ln += 1
+            runs.append((start, ln))
+        else:
+            m >>= 1
+            s += 1
+    return runs
+
+
+def run_walk_pairs(x, w):
+    """forced_pairs by walking the runs of w - x: the reference for the bit walk."""
+    if x & ~w:
+        return None
+    pairs = []
+    for start, ln in run_decomposition(w & ~x):
+        if ln % 2:
+            return None
+        pairs.extend(range(start, start + ln, 2))
+    return tuple(pairs)
+
+
+def test_forced_pairs_matches_run_walk():
+    # every (x, w) at n = 6, odd runs and non-contained pairs included
+    assert run_decomposition(0b1101110) == [(1, 3), (5, 2)]
+    for x in vx.all_vertices(6):
+        for w in vx.all_vertices(6):
+            assert ra.forced_pairs(x, w) == run_walk_pairs(x, w), (x, w)
+
+
+@given(st.lists(st.integers(0, 7), max_size=20))
+@example([])
+def test_f2_sum_keeps_odd_counts(items):
+    got = ra.f2_sum(items)
+    assert isinstance(got, frozenset)
+    assert got == {m for m, c in Counter(items).items() if c % 2}
 
 
 def test_forced_pairs_examples():

@@ -66,6 +66,26 @@ def test_only_cli_imports_checks():
     assert not found, found
 
 
+def test_runtime_imports_only_stdlib():
+    # the runtime has no dependencies: every absolute import is __future__,
+    # a cliffcat module or a module of the standard library
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in ("__future__", "cliffcat") and top not in sys.stdlib_module_names:
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {name}")
+    assert not found, found
+
+
 def test_traced_names_resolve():
     # the benchmark traces cliffcat functions by name; a rename or a moved
     # method must not leave a metric silently at zero.  install() rebinds
