@@ -25,6 +25,7 @@ MEMOS = {
     "lift_entry": cx._lift_entry,
     "rr_mult": cx._rr_mult,
     "side_entry": cx._side_entry,
+    "boundary_preimage": cx._boundary_preimage,
     "act_element": bm.act_element,
     "t_pair": bm.t_pair,
 }

@@ -432,26 +432,29 @@ def _correction(ops, key, e):
     the residual entry e at key; raises LiftError if there is none."""
     j, i = key
     try:  # entries off their endpoints can give a mixed residual
-        _, cd, src, tgt = entry_degrees(ops, e)
+        out = _boundary_preimage(ops.n, e)
     except ValueError as exc:
         raise LiftError(f"residual at ({j},{i}): {exc}") from None
-    alg = ops.algebra
-    basis = alg.hom_basis(src, tgt, cohdeg=cd - 1)
-    columns = []
-    index = {}
-    for p in alg.hom_basis(src, tgt, cohdeg=cd):
-        index[(src, p)] = len(index)
-    for p in basis:
-        vec = 0
-        for mono in alg.diff_mono((src, p)):
-            vec ^= 1 << index[mono]
-        columns.append(vec)
-    target_vec = 0
-    for mono in e:
-        target_vec ^= 1 << index[mono]
-    combo = gf2.solve(columns, target_vec)
-    if combo is None:
+    if out is None:
         raise LiftError(f"unliftable complex: residual at ({j},{i}) is not a boundary")
+    return out
+
+
+@lru_cache(maxsize=None)
+def _boundary_preimage(n, e):
+    """_correction's solve, memoized: a repeated lift meets the same residual
+    entries.  None if e is not a boundary; ValueError, not cached, if mixed."""
+    alg = box_algebra(n)
+    _, cd, src, tgt = entry_degrees(BoxAlgebraOps(n), e)
+    basis = alg.hom_basis(src, tgt, cohdeg=cd - 1)
+    index = {(src, p): k for k, p in enumerate(alg.hom_basis(src, tgt, cohdeg=cd))}
+
+    def vec(monos):  # an F2 set, so no monomial repeats, as a bit vector
+        return sum(1 << index[mono] for mono in monos)
+
+    combo = gf2.solve([vec(alg.diff_mono((src, p))) for p in basis], vec(e))
+    if combo is None:
+        return None
     return frozenset((src, basis[b]) for b in range(len(basis)) if combo >> b & 1)
 
 

@@ -12,16 +12,15 @@ length-one generators satisfy Clifford relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .laurent import LaurentZ, LaurentZH, format_sum
 from . import vertices as vx
 
 
-@dataclass(frozen=True)
-class PairData:
+class PairData(NamedTuple):  # cheaper to build than a frozen dataclass
     mu: int
     s: tuple  # pair lows, decreasing
     rest: int | None  # x and y without their pairs; None when they repeat
@@ -38,52 +37,42 @@ def pair_data(x, y):
     lows = x & (y >> 1)
     xr, yr = x & ~lows, y & ~(lows << 1)
     mu = 0
-    for b in vx.seq(y):
-        if b > 1:
-            e = vx.euler(x & ((1 << (b - 1)) - 1))
-            mu += e if b & 1 else -e
+    rest = y >> 2 << 2  # each b > 1 in y, lowest first
+    while rest:
+        low = rest & -rest
+        e = vx.euler(x & ((low >> 1) - 1))  # the a < b - 1 in x
+        mu += e if low & 0xAAAAAAAAAAAAAAAA else -e  # + when b is odd
+        rest ^= low
     return PairData(mu, vx.seq(lows), None if xr & yr else xr | yr)
 
 
-def eta(n, pd, subset):
-    return sum(2 * s + 1 - n for i, s in enumerate(pd.s, start=1) if i not in subset)
-
-
-def slice_monomial(pd, subset):
-    """rest plus the chosen pairs, or None when two of these parts meet."""
-    out = pd.rest
-    for i, s in enumerate(pd.s, start=1):
-        if i in subset:
-            pair = 0b11 << s
-            if out & pair:
-                return None
-            out |= pair
-    return out
-
-
 def m_slices(n, x, y):
-    """All (k, A, eta, monomial-or-None) of the h,q expansion of the product."""
+    """All (k, A, eta, monomial-or-None) of the h,q expansion of the product.
+    Pair i adds {s, s + 1} to the monomial if i is in A, else 2s + 1 - n to eta."""
     pd = pair_data(x, y)
     if pd.rest is None:
         return []
+    weights = {i: 2 * s + 1 - n for i, s in enumerate(pd.s, start=1)}
+    masks = {i: 0b11 << s for i, s in enumerate(pd.s, start=1)}
+    full = sum(weights.values())
     out = []
     for size in range(pd.p + 1):
         k = pd.mu + size
         for A in combinations(range(1, pd.p + 1), size):
-            subset = frozenset(A)
-            out.append((k, subset, eta(n, pd, subset), slice_monomial(pd, subset)))
+            mon, eta = pd.rest, full
+            for i in A:
+                eta -= weights[i]
+                if mon is not None:
+                    mon = None if mon & masks[i] else mon | masks[i]
+            out.append((k, frozenset(A), eta, mon))
     return out
 
 
 def higher_mult(n, x, y):
-    """Product with the h-grading kept, as {vertex: LaurentZH}."""
-    out = {}
-    for k, _, e, mon in m_slices(n, x, y):
-        if mon is None:
-            continue
-        cur = out.get(mon, LaurentZH())
-        out[mon] = cur + LaurentZH.monomial(e, k)
-    return {v: c for v, c in out.items() if c}
+    """Product with the h-grading kept, as {vertex: LaurentZH}.  A vertex
+    minus rest splits into disjoint pairs {s, s + 1} in one way only, so it
+    comes from one slice and has one term, q^eta h^k with coefficient 1."""
+    return {mon: LaurentZH.monomial(e, k) for k, _, e, mon in m_slices(n, x, y) if mon is not None}
 
 
 def extend(product, zero, a, b):

@@ -76,7 +76,10 @@ def mult_mono_r(n, m1, m2):
 
 
 def f2_sum(monomials):
-    """The monomials that occur an odd number of times."""
+    """The monomials of a list that occur an odd number of times."""
+    out = frozenset(monomials)
+    if len(out) == len(monomials):  # nothing repeats, so nothing cancels
+        return out
     out = set()
     for m in monomials:
         if m in out:

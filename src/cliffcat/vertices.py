@@ -45,13 +45,12 @@ def from_json(data, n):
 
 
 def length(v):
-    return bin(v).count("1")
+    return v.bit_count()
 
 
 def euler(v):
     """Alternating-sign count: sum of (-1)^s over elements s."""
-    even = bin(v & 0x5555555555555555).count("1")
-    return 2 * even - length(v)
+    return 2 * (v & 0x5555555555555555).bit_count() - v.bit_count()
 
 
 def fmt(v):

@@ -182,6 +182,7 @@ RHO_MEMOS = [
     (cx, "_lift_entry"),
     (cx, "_rr_mult"),
     (cx, "_side_entry"),
+    (cx, "_boundary_preimage"),
     (bm, "act_element"),
 ]
 

@@ -1,5 +1,6 @@
 """The q,h-valued product on vertex classes and its Clifford specialization."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -87,10 +88,15 @@ def test_glue():
     # a repetition, whether a rest or a chosen pair meets another part.
     assert kz.pair_data(vx.from_seq((3,)), vx.from_seq((1, 0))).rest == vx.from_seq((3, 1, 0))
     assert kz.pair_data(vx.from_seq((1,)), vx.from_seq((1,))).rest is None
-    pd = kz.pair_data(vx.from_seq((2, 0)), vx.from_seq((1,)))  # pair (0, 1), rest {2}
-    assert kz.slice_monomial(pd, frozenset({1})) == vx.from_seq((2, 1, 0))
-    pd = kz.pair_data(vx.from_seq((1, 0)), vx.from_seq((2, 1)))  # pairs (1, 2) and (0, 1)
-    assert kz.slice_monomial(pd, frozenset({1, 2})) is None
+    slices = _slice_monomials(2, vx.from_seq((2, 0)), vx.from_seq((1,)))  # pair (0, 1), rest {2}
+    assert slices[frozenset({1})] == vx.from_seq((2, 1, 0))
+    slices = _slice_monomials(2, vx.from_seq((1, 0)), vx.from_seq((2, 1)))  # pairs (1, 2) and (0, 1)
+    assert slices[frozenset({1, 2})] is None
+
+
+def _slice_monomials(n, x, y):
+    """{subset: monomial or None} over the slices of the product of x and y."""
+    return {subset: mon for _, subset, _, mon in kz.m_slices(n, x, y)}
 
 
 def test_mu_single():
@@ -111,6 +117,41 @@ def test_closed_form_matches_block_oracle():
                 pd = kz.pair_data(x, y)
                 assert (pd.mu, pd.s) == (mu, pairs), (n, x, y)
                 assert kz.m_slices(n, x, y) == _block_m_slices(n, x, y), (n, x, y)
+
+
+# SHA-256 of fmt_kclass of higher_mult and of mult_mono on every ordered pair
+# at n = 6, one tab-separated line per pair; pinned before the slices became
+# integer kernels and higher_mult one monomial per vertex
+VERTEX_PRODUCT_DIGEST_N6 = "461db55f526824e9e4f3f79e739f4f125864544ef3706b65d69c64fe42ad8307"
+
+
+def test_vertex_product_digest_pinned():
+    n = 6
+    h = hashlib.sha256()
+    for x in vx.all_vertices(n):
+        for y in vx.all_vertices(n):
+            hm, mm = kz.higher_mult(n, x, y), kz.mult_mono(n, x, y)
+            h.update(f"{kz.fmt_kclass(hm)}\t{kz.fmt_kclass(mm)}\n".encode())
+    assert h.hexdigest() == VERTEX_PRODUCT_DIGEST_N6
+
+
+def _laurent_fold(n, x, y):
+    """higher_mult's oracle by Laurent arithmetic: one LaurentZH monomial
+    added per slice, zero sums dropped."""
+    out = {}
+    for k, _, e, mon in kz.m_slices(n, x, y):
+        if mon is None:
+            continue
+        cur = out.get(mon, LaurentZH())
+        out[mon] = cur + LaurentZH.monomial(e, k)
+    return {v: c for v, c in out.items() if c}
+
+
+def test_higher_mult_matches_laurent_fold():
+    for n in range(1, 6):
+        for x in vx.all_vertices(n):
+            for y in vx.all_vertices(n):
+                assert kz.higher_mult(n, x, y) == _laurent_fold(n, x, y), (n, x, y)
 
 
 def test_pair_data_example():

@@ -51,6 +51,8 @@ def test_forced_pairs_matches_run_walk():
 
 @given(st.lists(st.integers(0, 7), max_size=20))
 @example([])
+@example([3, 1, 4])  # all distinct: the one-pass case
+@example([3, 1, 4, 1])  # one repeat: the toggle loop
 def test_f2_sum_keeps_odd_counts(items):
     got = ra.f2_sum(items)
     assert isinstance(got, frozenset)
