@@ -3,14 +3,15 @@
 For each pair of vertices (x, y) there is a complex T(x, y) whose slice at
 cohomological position k collects the summands P(M_A){eta(A)} over subsets A
 of the adjacent-pair indices with |A| = k - mu; the differential resolves one
-more pair at a time.  The right action of the thickened tensor-square algebra
-is defined generator by generator through an index map on subsets (shift
-the indices above a cut, perhaps add one) and a factor in the base algebra
-(a pair-insertion generator or an idempotent), both read off the
-memberships of the inserted pair's two neighbors.  A boxed element acts by
-the entries of the fold of its generators' maps, which is all tensor_T
-reads.  The left action is componentwise left multiplication.  The bimodule
-axioms are swept by cliffcat.checks.bimodule_failures.
+more pair at a time.  A subset is an int bitmask over the pair indices 1..p,
+bit i the i-th highest pair, as in kzero.  The right action of the thickened
+tensor-square algebra is defined generator by generator through an index map
+on subsets (shift the indices above a cut, perhaps add one) and a factor in
+the base algebra (a pair-insertion generator or an idempotent), both read
+off the memberships of the inserted pair's two neighbors.  A boxed element
+acts by the entries of the fold of its generators' maps, which is all
+tensor_T reads.  The left action is componentwise left multiplication.  The
+bimodule axioms are swept by cliffcat.checks.bimodule_failures.
 """
 
 from __future__ import annotations
@@ -39,28 +40,24 @@ class TPair(NamedTuple):
     """T(x, y) as a twisted complex plus the subset-to-summand bookkeeping."""
 
     complex: ProjComplex
-    index: dict  # frozenset A -> summand position
-    slices: list  # summand position -> (k, A, eta, monomial)
+    index: dict  # subset mask A -> summand position, in summand order
 
 
 @lru_cache(maxsize=None)
 def t_pair(n, x, y):
-    slices = [
-        (k, A, e, mon) for (k, A, e, mon) in kz.m_slices(n, x, y) if mon is not None
-    ]
+    slices = [(k, A, e, mon) for k, A, e, mon in kz.m_slices(n, x, y) if mon is not None]
     index = {A: i for i, (_, A, _, _) in enumerate(slices)}
-    pd = kz.pair_data(x, y)
-    summands = tuple(Summand(mon, e, k) for k, A, e, mon in slices)
+    p = kz.pair_data(x, y).lows.bit_count()
+    summands = tuple(Summand(mon, e, k) for k, _, e, mon in slices)
     delta = {}
-    for i, (k, A, e, mon) in enumerate(slices):
-        for step in range(1, pd.p + 1):
-            if step in A:
+    for i, (_, A, _, mon) in enumerate(slices):
+        for step in range(1, p + 1):
+            if A >> step & 1:
                 continue
-            B = A | {step}
-            j = index.get(frozenset(B))
+            j = index.get(A | 1 << step)
             if j is None:
                 continue
-            mon_b = slices[j][3]
+            mon_b = summands[j].vertex
             entry = ra.basis_mon_r(n, mon, mon_b)
             if entry is None:
                 raise AssertionError(f"no T differential {vx.fmt(mon)} -> {vx.fmt(mon_b)}")
@@ -69,7 +66,7 @@ def t_pair(n, x, y):
     ok, witness = verify_mc(c)
     if not ok:
         raise AssertionError(f"T{vx.fmt_pair((x, y))} is invalid: {witness}")
-    return TPair(c, index, slices)
+    return TPair(c, index)
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +76,8 @@ def t_pair(n, x, y):
 def _case_data(n, xy, kind, t):
     """(target pair, a_t, step, added, uses_generator, slice shift) of one
     generator: it maps the summand of A to that of A with every index above
-    a_t raised by step, plus the indices in added.  Raises AssertionError if
-    t is out of range at n or the arrow does not apply at xy.
+    a_t raised by step, plus the indices in the mask added.  Raises
+    AssertionError if t is out of range at n or the arrow does not apply at xy.
 
     Y side (lower: t-1 in x, upper: t in x): it adds a_t + step iff lower is
     set and uses the generator iff upper is unset.  X side (lower: t+1 in y,
@@ -92,18 +89,18 @@ def _case_data(n, xy, kind, t):
     if target is None:
         raise AssertionError(f"arrow {kind}{t} does not apply at {vx.fmt_pair(xy)}")
     x, y = xy
-    a_t = sum(1 for s in kz.pair_data(x, y).s if s > t)
+    a_t = (kz.pair_data(x, y).lows >> (t + 1)).bit_count()  # pairs above t
     if kind == DIAG:
-        return target, a_t, 2, frozenset(), False, -1
+        return target, a_t, 2, 0, False, -1
     if kind == YSIDE:
         lower, upper = t >= 1 and bool(x >> (t - 1) & 1), bool(x >> t & 1)
         step = lower + upper
-        added = [a_t + step] if lower else []
-        return target, a_t, step, frozenset(added), not upper, 0
+        added = 1 << (a_t + step) if lower else 0
+        return target, a_t, step, added, not upper, 0
     lower, upper = bool(y >> (t + 1) & 1), bool(y >> (t + 2) & 1)
     step = lower + upper
-    added = [a_t + 1] if upper else []
-    return target, a_t, step, frozenset(added), not lower, 0
+    added = 1 << (a_t + 1) if upper else 0
+    return target, a_t, step, added, not lower, 0
 
 
 def right_act_chainmap(n, xy, kind, t):
@@ -111,12 +108,13 @@ def right_act_chainmap(n, xy, kind, t):
     tgt_pair, a_t, step, added, uses_gen, dslice = _case_data(n, xy, kind, t)
     src = t_pair(n, *xy)
     tgt = t_pair(n, *tgt_pair)
+    kept = (2 << a_t) - 1  # the indices up to a_t
     entries = {}
-    for i, (k, A, e, mon) in enumerate(src.slices):
-        j = tgt.index.get(frozenset(a if a <= a_t else a + step for a in A) | added)
+    for A, i in src.index.items():
+        j = tgt.index.get(A & kept | (A & ~kept) << step | added)
         if j is None:
             continue
-        kt, _, _, mon_t = tgt.slices[j]
+        (mon, _, k), (mon_t, _, kt) = src.complex.summands[i], tgt.complex.summands[j]
         if kt != k + dslice:
             raise AssertionError(f"{kind}{t} moves slice {k} to {kt}, not by {dslice}")
         if uses_gen:
@@ -150,8 +148,8 @@ def act_element(n, elem):
     paths = []
     for at, arrows in elem:
         entries = {
-            (i, i): frozenset([(mon, mon)])
-            for i, (_, _, _, mon) in enumerate(t_pair(n, *at).slices)
+            (i, i): frozenset([(s.vertex, s.vertex)])
+            for i, s in enumerate(t_pair(n, *at).complex.summands)
         }
         for kind, s in arrows:
             entries = mat_then(mult, entries, right_act_chainmap(n, at, kind, s).entries)

@@ -146,8 +146,9 @@ def cmd_bimodule(args):
     if args.json:
         _emit(data)
     else:
-        for k, A, e, mon in tp.slices:
-            print(f"slice {k}: P({vx.fmt(mon)}){{{e}}}  A={sorted(A)}")
+        for A, i in tp.index.items():
+            mon, e, k = tp.complex.summands[i]
+            print(f"slice {k}: P({vx.fmt(mon)}){{{e}}}  A={sorted(vx.seq(A))}")
         print("k0 =", kz.fmt_kclass(cx.k0_class(tp.complex)))
     return 0
 

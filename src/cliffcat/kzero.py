@@ -4,10 +4,12 @@ The product M(x, y) of two vertices resolves each adjacent increasing pair:
 an s in x with s + 1 in y, one bit of lows = x & (y >> 1).  What is left of
 x and y is rest; the product is 0 when the two rests share an element.
 Each subset A of the pairs gives one slice, rest plus the pair {s, s + 1}
-for every s in A, which vanishes as soon as two of its parts meet.  The
-h-power counts the far transpositions a < b - 1 (a in x, b in y) with sign
-(-1)^(a+b+1), plus |A|.  Setting h = -1 gives an associative product whose
-length-one generators satisfy Clifford relations.
+for every pair in A, which vanishes as soon as two of its parts meet.  A is
+an int bitmask over the pair indices 1..p, bit i the i-th highest pair,
+just as a vertex is a mask over {0..n}.  The h-power counts the far
+transpositions a < b - 1 (a in x, b in y) with sign (-1)^(a+b+1), plus
+|A|.  Setting h = -1 gives an associative product whose length-one
+generators satisfy Clifford relations.
 """
 
 from __future__ import annotations
@@ -22,12 +24,8 @@ from . import vertices as vx
 
 class PairData(NamedTuple):  # cheaper to build than a frozen dataclass
     mu: int
-    s: tuple  # pair lows, decreasing
+    lows: int  # mask of the pair lows s: s in x and s + 1 in y
     rest: int | None  # x and y without their pairs; None when they repeat
-
-    @property
-    def p(self):
-        return len(self.s)
 
 
 # Bounded: at n = 10 the 4.2M ordered pairs barely recur, so an unbounded
@@ -43,28 +41,29 @@ def pair_data(x, y):
         e = vx.euler(x & ((low >> 1) - 1))  # the a < b - 1 in x
         mu += e if low & 0xAAAAAAAAAAAAAAAA else -e  # + when b is odd
         rest ^= low
-    return PairData(mu, vx.seq(lows), None if xr & yr else xr | yr)
+    return PairData(mu, lows, None if xr & yr else xr | yr)
 
 
 def m_slices(n, x, y):
-    """All (k, A, eta, monomial-or-None) of the h,q expansion of the product.
-    Pair i adds {s, s + 1} to the monomial if i is in A, else 2s + 1 - n to eta."""
+    """All (k, A, eta, monomial-or-None) of the h,q expansion of the product,
+    by |A| and then lexicographically.  Pair i adds {s, s + 1} to the
+    monomial if bit i of A is set, else 2s + 1 - n to eta."""
     pd = pair_data(x, y)
     if pd.rest is None:
         return []
-    weights = {i: 2 * s + 1 - n for i, s in enumerate(pd.s, start=1)}
-    masks = {i: 0b11 << s for i, s in enumerate(pd.s, start=1)}
-    full = sum(weights.values())
+    pairs = [(1 << i, 2 * s + 1 - n, 0b11 << s) for i, s in enumerate(vx.seq(pd.lows), start=1)]
+    full = sum(w for _, w, _ in pairs)
     out = []
-    for size in range(pd.p + 1):
+    for size in range(len(pairs) + 1):
         k = pd.mu + size
-        for A in combinations(range(1, pd.p + 1), size):
-            mon, eta = pd.rest, full
-            for i in A:
-                eta -= weights[i]
+        for chosen in combinations(pairs, size):
+            A, mon, eta = 0, pd.rest, full
+            for bit, w, m in chosen:
+                A |= bit
+                eta -= w
                 if mon is not None:
-                    mon = None if mon & masks[i] else mon | masks[i]
-            out.append((k, frozenset(A), eta, mon))
+                    mon = None if mon & m else mon | m
+            out.append((k, A, eta, mon))
     return out
 
 

@@ -10,7 +10,7 @@ from cliffcat import vertices as vx
 from cliffcat.boxalgebra import apply_arrow, box_algebra
 import cliffcat.complexes as cx
 from cliffcat.laurent import LaurentZ
-from cliffcat.quiver import DIAG, XSIDE, YSIDE
+from cliffcat.quiver import DIAG, XSIDE, YSIDE, pair_mask
 
 
 def test_t_pair_example_n2():
@@ -41,7 +41,7 @@ def test_act_element_matches_chainmap_fold(n):
     # a fresh computation
     for source, arrows in box_algebra(n).all_monomials():
         tp = bm.t_pair(n, *source)
-        identity = {(i, i): frozenset([(m, m)]) for i, (*_, m) in enumerate(tp.slices)}
+        identity = {(i, i): frozenset([(m, m)]) for i, (m, *_) in enumerate(tp.complex.summands)}
         chain, at = cx.ChainMap(tp.complex, tp.complex, identity), source
         for kind, s in arrows:
             chain = bm.compose_chainmaps(chain, bm.right_act_chainmap(n, at, kind, s))
@@ -80,12 +80,53 @@ def test_case_data_matches_eight_way_table():
                     else:
                         lower, upper = bool(y >> (t + 1) & 1), bool(y >> (t + 2) & 1)
                     _, a_t, step, added, uses_gen, dslice = bm._case_data(n, (x, y), kind, t)
-                    offsets = [a - a_t for a in added]
+                    offsets = [a - a_t for a in vx.seq(added)]  # added is a mask
                     got = (step, offsets[0] if offsets else None, uses_gen)
                     assert len(offsets) <= 1 and dslice == 0
                     assert got == CASES[(kind, lower, upper)], (n, x, y, kind, t)
                     seen.add((kind, lower, upper))
     assert seen == set(CASES)
+
+
+def _set_formula_action(n, xy, kind, t):
+    """right_act_chainmap's entries by the set formula that the mask map
+    replaced: subsets as frozensets of pair indices, decoded from the masks
+    here, mapped by a -> a + step above a_t, plus added."""
+    tgt_pair, a_t, step, added, uses_gen, dslice = bm._case_data(n, xy, kind, t)
+    assert a_t == sum(1 for s in vx.seq(kz.pair_data(*xy).lows) if s > t)
+    added = frozenset(vx.seq(added))
+    src, tgt = bm.t_pair(n, *xy), bm.t_pair(n, *tgt_pair)
+    tgt_index = {frozenset(vx.seq(A)): j for A, j in tgt.index.items()}
+    entries = {}
+    for A, i in src.index.items():
+        A = frozenset(vx.seq(A))
+        j = tgt_index.get(frozenset(a if a <= a_t else a + step for a in A) | added)
+        if j is None:
+            continue
+        (mon, _, k), (mon_t, _, kt) = src.complex.summands[i], tgt.complex.summands[j]
+        assert kt == k + dslice
+        if uses_gen:
+            if mon & pair_mask(t):
+                continue
+            want = mon | pair_mask(t)
+        else:
+            want = mon
+        if mon_t == want:
+            entries[(j, i)] = frozenset([ra.basis_mon_r(n, mon, mon_t)])
+    return entries
+
+
+def test_right_action_matches_set_formula():
+    # every generator (X, Y and D) out of every vertex pair at n <= 4
+    kinds = set()
+    for n in range(1, 5):
+        for x in vx.all_vertices(n):
+            for y in vx.all_vertices(n):
+                for kind, t in ck._generators_out(n, (x, y)):
+                    got = bm.right_act_chainmap(n, (x, y), kind, t).entries
+                    assert got == _set_formula_action(n, (x, y), kind, t), (n, x, y, kind, t)
+                    kinds.add(kind)
+    assert kinds == {XSIDE, YSIDE, DIAG}
 
 
 def test_t_pair_zero_when_repetition():
@@ -99,7 +140,7 @@ def test_diag_action_from_empty_pair():
     ch = bm.right_act_chainmap(2, (0, 0), DIAG, 0)
     assert ch.entries == {(0, 0): frozenset([(0, 0)])}
     tgt = bm.t_pair(2, vx.from_seq((1, 0)), vx.from_seq((2, 1)))
-    k, A, e, mon = tgt.slices[0]
+    mon, e, k = tgt.complex.summands[0]
     assert (k, mon, e) == (-1, 0, 0)
 
 
@@ -110,13 +151,13 @@ def test_yside_action_case_generator():
     src = bm.t_pair(n, 1 << 0, 1 << 1)
     tgt = bm.t_pair(n, 1 << 0, vx.from_seq((3, 2, 1)))
     # slice 0 (A empty, vertex []) maps onto e([]) * generator into P([3,2])
-    i = src.index[frozenset()]
+    i = src.index[0]  # the empty subset
     assert ch.entries[(0, i)] == frozenset([(0, vx.from_seq((3, 2)))])
     # slice 1 (vertex [1,0]) maps into P([3,2,1,0]) at the same position
     assert ch.entries[(1, 1)] == frozenset(
         [(vx.from_seq((1, 0)), vx.from_seq((3, 2, 1, 0)))]
     )
-    assert tgt.slices[0][3] == vx.from_seq((3, 2))
+    assert tgt.complex.summands[0].vertex == vx.from_seq((3, 2))
 
 
 @pytest.mark.parametrize("xy, kind", [((0b11, 0), XSIDE), ((0, 0b110), DIAG)])

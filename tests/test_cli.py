@@ -49,6 +49,19 @@ def test_algebra_hom(capsys):
     assert data["dim"] == 1 and data["qdeg"] == 1
 
 
+def test_bimodule_text(capsys):
+    # two pairs, (2, 3) and (0, 1): one slice per subset A of their indices
+    code, out = run(capsys, "bimodule", "--n", "3", "--pair", "[2,0]", "[3,1]")
+    assert code == 0
+    assert out == (
+        "slice 1: P([]){0}  A=[]\n"
+        "slice 2: P([3,2]){-2}  A=[1]\n"
+        "slice 2: P([1,0]){2}  A=[2]\n"
+        "slice 3: P([3,2,1,0]){0}  A=[1, 2]\n"
+        "k0 = -[] + q^2*[1,0] + q^-2*[3,2] - [3,2,1,0]\n"
+    )
+
+
 def test_bimodule_json(capsys):
     code, out = run(capsys, "bimodule", "--n", "2", "--pair", "[0]", "[1]", "--json")
     assert code == 0

@@ -89,13 +89,13 @@ def test_glue():
     assert kz.pair_data(vx.from_seq((3,)), vx.from_seq((1, 0))).rest == vx.from_seq((3, 1, 0))
     assert kz.pair_data(vx.from_seq((1,)), vx.from_seq((1,))).rest is None
     slices = _slice_monomials(2, vx.from_seq((2, 0)), vx.from_seq((1,)))  # pair (0, 1), rest {2}
-    assert slices[frozenset({1})] == vx.from_seq((2, 1, 0))
+    assert slices[0b10] == vx.from_seq((2, 1, 0))  # A = {1}
     slices = _slice_monomials(2, vx.from_seq((1, 0)), vx.from_seq((2, 1)))  # pairs (1, 2) and (0, 1)
-    assert slices[frozenset({1, 2})] is None
+    assert slices[0b110] is None  # A = {1, 2}
 
 
 def _slice_monomials(n, x, y):
-    """{subset: monomial or None} over the slices of the product of x and y."""
+    """{subset mask: monomial or None} over the slices of the product of x and y."""
     return {subset: mon for _, subset, _, mon in kz.m_slices(n, x, y)}
 
 
@@ -115,8 +115,13 @@ def test_closed_form_matches_block_oracle():
             for y in vx.all_vertices(n):
                 mu, pairs, _ = _block_pair_data(x, y)
                 pd = kz.pair_data(x, y)
-                assert (pd.mu, pd.s) == (mu, pairs), (n, x, y)
-                assert kz.m_slices(n, x, y) == _block_m_slices(n, x, y), (n, x, y)
+                assert (pd.mu, vx.seq(pd.lows)) == (mu, pairs), (n, x, y)
+                # the oracle's subsets are frozensets of pair indices
+                want = [
+                    (k, sum(1 << i for i in A), e, mon)
+                    for k, A, e, mon in _block_m_slices(n, x, y)
+                ]
+                assert kz.m_slices(n, x, y) == want, (n, x, y)
 
 
 # SHA-256 of fmt_kclass of higher_mult and of mult_mono on every ordered pair
@@ -156,9 +161,8 @@ def test_higher_mult_matches_laurent_fold():
 
 def test_pair_data_example():
     pd = kz.pair_data(vx.from_seq((1, 0)), vx.from_seq((2, 1)))
-    assert pd.s == (1, 0)
+    assert pd.lows == 0b11  # the pairs (1, 2) and (0, 1)
     assert pd.mu == -1  # the far transposition (0, 2)
-    assert pd.p == 2
     assert pd.rest == 0
     assert kz.pair_data(vx.from_seq((1,)), vx.from_seq((1,))).rest is None  # repetition
 
@@ -270,7 +274,7 @@ def test_h_exponent_bounds(n, data):
     pd = kz.pair_data(x, y)
     for coeff in kz.higher_mult(n, x, y).values():
         for (qe, he), c in coeff.items():
-            assert pd.mu <= he <= pd.mu + pd.p
+            assert pd.mu <= he <= pd.mu + pd.lows.bit_count()
 
 
 @settings(max_examples=80, deadline=None)
