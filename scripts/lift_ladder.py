@@ -18,8 +18,9 @@ from cliffcat import bimodule as bm
 from cliffcat import catun as cu
 from cliffcat import complexes as cx
 
+# name -> memo: an lru_cache, or the entry degrees' dict of per-(tag, n) dicts
 MEMOS = {
-    "entry_degrees": cx._entry_degrees,
+    "entry_degrees": cx._DEGREES,
     "box_mult": cx._box_mult,
     "box_diff": cx._box_diff,
     "lift_entry": cx._lift_entry,
@@ -31,6 +32,12 @@ MEMOS = {
 }
 
 
+def _size(memo):
+    if isinstance(memo, dict):
+        return sum(map(len, memo.values()))
+    return memo.cache_info().currsize
+
+
 def main():
     print(f"{'n':>2} {'k':>2} {'summands':>9} {'delta':>9} {'seconds':>8}")
     for n in range(3, 6):
@@ -39,7 +46,7 @@ def main():
             c = cu.lift_word(n, cu.parse_word("EF" * k))
             secs = time.perf_counter() - t0
             print(f"{n:>2} {k:>2} {len(c.summands):>9} {len(c.delta):>9} {secs:>8.3f}")
-        sizes = ", ".join(f"{name} {memo.cache_info().currsize}" for name, memo in MEMOS.items())
+        sizes = ", ".join(f"{name} {_size(memo)}" for name, memo in MEMOS.items())
         print(f"   memo entries: {sizes}")
     return 0
 

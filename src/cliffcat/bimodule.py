@@ -184,22 +184,23 @@ def tensor_T(c):
     """Replace each boxed summand by its shifted T block; entries act factor-wise.
 
     The differential is assembled from pieces (row offset, column offset,
-    entries): the T(x, y) block of each summand, and the action of each entry
-    (j, i) in the rectangle of blocks j and i.  When every entry starts and
-    ends at its summands' vertices and none is diagonal, as the Box contract
-    demands, the pieces are disjoint and each key is written once; otherwise
-    the pieces are summed."""
+    entries): the T(x, y) block of each summand that has a differential, and
+    the action of each entry (j, i) in the rectangle of blocks j and i.  When
+    every entry starts and ends at its summands' vertices and none is
+    diagonal, as the Box contract demands, the pieces are disjoint and each
+    key is written once; otherwise the pieces are summed."""
     if c.ops.tag != "Box":
         raise AssertionError(f"tensor_T needs a complex over the box algebra, got {c.ops.tag}")
     n = c.ops.n
     blocks = [t_pair(n, *s.vertex).complex for s in c.summands]
     bases = list(accumulate([len(b.summands) for b in blocks], initial=0))
-    summands = tuple(
-        Summand(t.vertex, s.qshift + t.qshift, s.cohshift + t.cohshift)
-        for s, b in zip(c.summands, blocks)
-        for t in b.summands
-    )
-    pieces = [(base, base, b.delta) for base, b in zip(bases, blocks)]
+    new = tuple.__new__
+    summands = tuple([
+        new(Summand, (v, q + tq, k + tk))
+        for (_, q, k), block in zip(c.summands, blocks)
+        for v, tq, tk in block.summands
+    ])
+    pieces = [(base, base, b.delta) for base, b in zip(bases, blocks) if b.delta]
     pieces += [(bases[j], bases[i], act_element(n, e)) for (j, i), e in c.delta.items()]
     delta = {(row + j, col + i): e for row, col, entries in pieces for (j, i), e in entries.items()}
     if len(delta) < sum([len(entries) for _, _, entries in pieces]):

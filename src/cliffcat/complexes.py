@@ -9,8 +9,7 @@ contract cohdeg(entry) + b_j - b_i = 1 and qdeg(entry) = a_j - a_i.
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from . import gf2
@@ -29,18 +28,20 @@ class LiftError(Exception):
 # uniform algebra operations
 
 
+# Each ops object binds mult and diff to n as partials over the module-level
+# kernels and memos, so the matrix kernels call them without a method frame.
+
+
 class RAlgebraOps:
     tag = "R"
 
     def __init__(self, n):
         self.n = n
+        self.mult = partial(ra.mult_r, n)
 
     def degrees(self, m):
         """(qdeg, cohdeg, source, target) of a monomial."""
         return ra.mono_qdeg_r(self.n, m), 0, m[0], m[1]
-
-    def mult(self, a, b):
-        return ra.mult_r(self.n, a, b)
 
     def diff(self, a):
         return frozenset()
@@ -68,14 +69,12 @@ class RRAlgebraOps:
 
     def __init__(self, n):
         self.n = n
+        self.mult = partial(_rr_mult, n)
 
     def degrees(self, m):
         left, right = m
         qdeg = ra.mono_qdeg_r(self.n, left) + ra.mono_qdeg_r(self.n, right)
         return qdeg, 0, (left[0], right[0]), (left[1], right[1])
-
-    def mult(self, a, b):
-        return _rr_mult(self.n, a, b)
 
     diff = RAlgebraOps.diff
 
@@ -102,17 +101,13 @@ class BoxAlgebraOps:
     def __init__(self, n):
         self.n = n
         self.algebra = box_algebra(n)
+        self.mult = partial(_box_mult, n)
+        self.diff = partial(_box_diff, n)
 
     def degrees(self, m):
         arrows = m[1]
         qdeg, cohdeg = self.algebra.qdeg(arrows), self.algebra.cohdeg(arrows)
         return qdeg, cohdeg, m[0], path_target(m[0], arrows)
-
-    def mult(self, a, b):
-        return _box_mult(self.n, a, b)
-
-    def diff(self, a):
-        return _box_diff(self.n, a)
 
     def mono_json(self, m):
         (x, y), arrows = m
@@ -142,10 +137,11 @@ class BoxAlgebraOps:
 
 
 # Box and RR products and Box differentials are memoized on (n, entry), as
-# are entry_degrees and lift_to_box's section, and tensor_f2 takes its side
-# entries from a memo: a word lift meets few distinct entries, each many
-# times.  Entries are frozensets, which cache their hashes, so an entry that
-# one memo returns is found at once in the next; every result is immutable.
+# is lift_to_box's section; entry degrees are memoized in one dict per
+# (tag, n), and tensor_f2 takes its side entries from a memo: a word lift
+# meets few distinct entries, each many times.  Entries are frozensets,
+# which cache their hashes, so an entry that one memo returns is found at
+# once in the next; every result is immutable.
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +168,9 @@ _OPS = {"R": RAlgebraOps, "RR": RRAlgebraOps, "Box": BoxAlgebraOps}
 
 class Summand(NamedTuple):
     """P(vertex){qshift}[cohshift].  A word lift builds millions, and a
-    NamedTuple is cheaper to build than a frozen dataclass."""
+    NamedTuple is cheaper to build than a frozen dataclass; the rho steps
+    build theirs with tuple.__new__(Summand, fields), which skips the
+    constructor's Python frame."""
 
     vertex: object
     qshift: int
@@ -196,19 +194,36 @@ def projective(ops, v, qshift=0, cohshift=0):
     return ProjComplex(ops, (Summand(v, qshift, cohshift),), {})
 
 
+class _DegreeMemo(dict):
+    """Entry -> (qdeg, cohdeg, source, target) over one algebra.  A miss
+    computes and stores the degrees; a mixed entry raises ValueError and is
+    not stored."""
+
+    def __init__(self, ops):
+        super().__init__()
+        self.ops = ops
+
+    def __missing__(self, e):
+        degs = {self.ops.degrees(m) for m in e}
+        if len(degs) != 1:
+            raise ValueError(f"inhomogeneous entry: {sorted(map(self.ops.fmt_mono, e))}")
+        self[e] = out = next(iter(degs))
+        return out
+
+
+_DEGREES = {}  # (tag, n) -> _DegreeMemo: the one memo of entry degrees
+
+
+def _degree_memo(ops):
+    memo = _DEGREES.get((ops.tag, ops.n))
+    if memo is None:
+        memo = _DEGREES[(ops.tag, ops.n)] = _DegreeMemo(ops)
+    return memo
+
+
 def entry_degrees(ops, e):
     """(qdeg, cohdeg, source, target) of a homogeneous element; raises if mixed."""
-    return _entry_degrees(ops.tag, ops.n, e)
-
-
-@lru_cache(maxsize=None)
-def _entry_degrees(tag, n, e):
-    """entry_degrees, memoized; lru_cache does not cache the mixed-entry raise."""
-    ops = _OPS[tag](n)
-    degs = {ops.degrees(m) for m in e}
-    if len(degs) != 1:
-        raise ValueError(f"inhomogeneous entry: {sorted(map(ops.fmt_mono, e))}")
-    return next(iter(degs))
+    return _degree_memo(ops)[e]
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +272,24 @@ def map_violation(source, target, entries, degree):
     the (q, coh) degree, as a witness string; None if every entry keeps it.
     An entry (j, i) has degree (qdeg + a_i - a_j, cohdeg + b_j - b_i) for
     source summand i = P(v_i){a_i}[b_i] and target summand j."""
-    ops = source.ops
+    degrees = _degree_memo(source.ops)
     qdeg, cohdeg = degree
     sources, targets = source.summands, target.summands
     ni, nj = len(sources), len(targets)
     for (j, i), e in entries.items():
         if not (0 <= i < ni and 0 <= j < nj):
             return f"entry ({j},{i}) out of range"
-        si, sj = sources[i], targets[j]
         try:
-            qd, cd, src, tgt = _entry_degrees(ops.tag, ops.n, e)
+            qd, cd, src, tgt = degrees[e]
         except ValueError as exc:
             return str(exc)
-        if src != si.vertex or tgt != sj.vertex:
+        vi, ai, bi = sources[i]
+        vj, aj, bj = targets[j]
+        if src != vi or tgt != vj:
             return f"entry ({j},{i}) endpoints do not match summands"
-        if cd + sj.cohshift - si.cohshift != cohdeg:
+        if cd + bj - bi != cohdeg:
             return f"entry ({j},{i}) violates the cohomological contract"
-        if qd + si.qshift - sj.qshift != qdeg:
+        if qd + ai - aj != qdeg:
             return f"entry ({j},{i}) violates the q contract"
     return None
 
@@ -287,19 +303,30 @@ def delta_square(c):
 
 
 def parity_square(c):
-    """delta*delta of a complex over R that keeps the degree contract.
+    """delta*delta of a complex over R or RR that keeps the degree contract.
 
-    R Hom-spaces are at most one-dimensional, so each entry of such a
-    complex is the basis monomial between its endpoints; composable products
-    never vanish and d = 0.  Entry (k, i) of the square is therefore the
-    monomial v_i -> v_k when an odd number of j have (j, i) and (k, j) in
-    the support, and zero otherwise.  delta_square is its test oracle."""
-    by_col = {}
+    R Hom-spaces are at most one-dimensional, and so are those of RR, their
+    tensor squares; so each entry of such a complex is the basis monomial
+    between its endpoints, composable products never vanish and d = 0.
+    Entry (k, i) of the square is therefore the monomial v_i -> v_k when an
+    odd number of j have (j, i) and (k, j) in the support, and zero
+    otherwise: (v_i, v_k) over R, and ((x_i, x_k), (y_i, y_k)) over RR,
+    where v = (x, y).  The parities are XORs of int row masks.
+    delta_square is its test oracle."""
+    rows = [0] * len(c.summands)  # j -> mask of the k with (k, j) in the support
     for k, j in c.delta:
-        by_col.setdefault(j, []).append(k)
-    paths = Counter((k, i) for j, i in c.delta for k in by_col.get(j, ()))
+        rows[j] |= 1 << k
+    masks = [0] * len(c.summands)  # i -> mask of the k met an odd number of times
+    for j, i in c.delta:
+        masks[i] ^= rows[j]
+    odd = [(k, i) for i, mask in enumerate(masks) if mask for k in vx.seq(mask)]
+    if not odd:
+        return {}
     verts = [s.vertex for s in c.summands]
-    return {(k, i): frozenset([(verts[i], verts[k])]) for (k, i), m in paths.items() if m & 1}
+    if c.ops.tag == "R":
+        return {(k, i): frozenset([(verts[i], verts[k])]) for k, i in odd}
+    # zip pairs (x_i, y_i) and (x_k, y_k) into ((x_i, x_k), (y_i, y_k))
+    return {(k, i): frozenset([tuple(zip(verts[i], verts[k]))]) for k, i in odd}
 
 
 def contract_violation(c):
@@ -310,12 +337,12 @@ def contract_violation(c):
 def verify_mc(c):
     """Validity of a twisted complex; returns (ok, witness-or-None).
 
-    The contract is checked first; over R its success is what lets the
-    square be counted by parity_square."""
+    The contract is checked first; over R and RR its success is what lets
+    the square be counted by parity_square."""
     witness = contract_violation(c)
     if witness is not None:
         return False, witness
-    sq = parity_square(c) if c.ops.tag == "R" else delta_square(c)
+    sq = delta_square(c) if c.ops.tag == "Box" else parity_square(c)
     if sq:
         (j, i), e = sorted(sq.items())[0]
         return False, (
@@ -367,11 +394,12 @@ def tensor_f2(m, nc):
     every other key is written once.  The result is unchecked: lift_to_box,
     its one consumer, checks it."""
     w = len(nc.summands)
-    summands = tuple(
-        Summand((si.vertex, sj.vertex), si.qshift + sj.qshift, si.cohshift + sj.cohshift)
-        for si in m.summands
-        for sj in nc.summands
-    )
+    new = tuple.__new__
+    summands = tuple([
+        new(Summand, ((v1, v2), a1 + a2, b1 + b2))
+        for v1, a1, b1 in m.summands
+        for v2, a2, b2 in nc.summands
+    ])
     delta = {}
     for (j, i), e in m.delta.items():
         for j2, sj in enumerate(nc.summands):
@@ -399,22 +427,37 @@ def _side_entry(e, v, left):
 def lift_to_box(c):
     """Lift a tensor-square complex to the DG thickening.
 
-    Entries are lifted through the side-generator section; each entry of the
-    residual d(delta) + delta^2 then gets one diagonal-generator correction
-    of lower cohomological degree, and the corrected complex is checked with
-    verify_mc.  Raises LiftError if d(delta) + delta^2 != 0 over RR, if some
-    residual entry is inhomogeneous or not a boundary in its Hom-space, or if
-    the result is not a valid complex.
+    Entries are lifted through the side-generator section.  In the
+    one-sided case, where every RR monomial has an idempotent factor on the
+    same side (as when a factor of tensor_f2 has no differential), the
+    lifted entries are X-only (or Y-only) paths, on which the section is
+    multiplicative and d = 0; the residual d(delta) + delta^2 of the lift
+    is then the section of the RR square, which parity_square counts once
+    the contract holds, and no correction is needed.  Otherwise each entry
+    of the residual gets one diagonal-generator correction of lower
+    cohomological degree, and the corrected complex is checked with
+    verify_mc.  Raises LiftError if the contract fails, if d(delta) +
+    delta^2 != 0 over RR, if some residual entry is inhomogeneous or not a
+    boundary in its Hom-space, or if the result is not a valid complex.
     """
     if c.ops.tag != "RR":
         raise AssertionError(f"lift_to_box needs a tensor-square complex, got {c.ops.tag}")
-    square = delta_square(c)
+    one_sided = _one_sided(c.delta)
+    if one_sided:
+        witness = contract_violation(c)
+        if witness is not None:
+            raise LiftError(witness)
+        square = parity_square(c)
+    else:
+        square = delta_square(c)
     if square:
         raise LiftError(f"d(delta)+delta^2 nonzero over RR at {min(square)}")
     n = c.ops.n
     ops = BoxAlgebraOps(n)
     delta = {key: _lift_entry(n, e) for key, e in c.delta.items()}
     out = ProjComplex(ops, c.summands, delta)
+    if one_sided:  # the section keeps the contract and the zero square
+        return out
     residual = delta_square(out)
     if residual:
         corrections = {key: _correction(ops, key, e) for key, e in sorted(residual.items())}
@@ -425,6 +468,19 @@ def lift_to_box(c):
     if witness is not None:
         raise LiftError(witness)
     return out
+
+
+def _one_sided(delta):
+    """Whether every RR monomial of delta has an idempotent factor on the
+    same side: no monomial moves x, or none moves y."""
+    x_moves = y_moves = False
+    for e in delta.values():
+        for (x1, x2), (y1, y2) in e:
+            x_moves = x_moves or x1 != x2
+            y_moves = y_moves or y1 != y2
+        if x_moves and y_moves:
+            return False
+    return True
 
 
 def _correction(ops, key, e):

@@ -174,9 +174,9 @@ def test_lift_json_digest_pinned():
     assert h.hexdigest() == LIFT_DIGEST_N3
 
 
-# every memo that a rho step passes its entries through
+# every memo that a rho step passes its entries through, besides the
+# entry degrees (cx._DEGREES, one dict per algebra tag and n)
 RHO_MEMOS = [
-    (cx, "_entry_degrees"),
     (cx, "_box_mult"),
     (cx, "_box_diff"),
     (cx, "_lift_entry"),
@@ -190,7 +190,9 @@ RHO_MEMOS = [
 def test_rho_memos_match_fresh_computation(monkeypatch):
     # every word in WORDS under every tree at n <= 3: each memoized value a
     # lift reads equals a fresh computation, and lifting twice gives the same
-    # JSON, so no caller mutates a cached object.
+    # JSON, so no caller mutates a cached object.  The degree memos start
+    # empty, and each degree a lift stored is a fresh computation too.
+    monkeypatch.setattr(cx, "_DEGREES", {})
     memos, seen = {}, {}
     for mod, name in RHO_MEMOS:
         memo = memos[name] = getattr(mod, name)
@@ -213,6 +215,11 @@ def test_rho_memos_match_fresh_computation(monkeypatch):
         fresh = memos[name].__wrapped__
         for args, out in calls.items():
             assert out == fresh(*args), (name, args)
+    assert {tag for tag, _ in cx._DEGREES} == {"R", "RR", "Box"}
+    for (tag, n), memo in cx._DEGREES.items():
+        ops = cx._OPS[tag](n)
+        for e, degs in memo.items():
+            assert {ops.degrees(m) for m in e} == {degs}, (tag, n, e)
 
 
 def test_rho_builds_normalized_complexes(monkeypatch):
@@ -241,6 +248,98 @@ def test_rho_builds_normalized_complexes(monkeypatch):
     for c in built:
         assert type(c.summands) is tuple
         assert all(type(e) is frozenset and e for e in c.delta.values())
+
+
+def _lift_inputs(words, ns):
+    """Every lift_to_box input met while lifting words under every tree at
+    each n, as (n, input) in the order met."""
+    real, met = cu.lift_to_box, []
+
+    def record(c):
+        met.append((c.ops.n, c))
+        return real(c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cu, "lift_to_box", record)
+        for n in ns:
+            for w in words:
+                for tree in ck.all_trees(0, len(w)):
+                    cu.lift_word(n, cu.Word(w, tree))
+    return met
+
+
+def test_one_sided_lifts_match_corrected_path(monkeypatch):
+    # every E/F word of 2-5 letters under every tree at n = 2..4 meets 6,024
+    # one-sided lift_to_box inputs and 180 two-sided ones.  On each distinct
+    # one-sided input the plain section lift has a zero square, the output
+    # equals that of the corrected path, and parity_square decides the RR
+    # square as delta_square does.
+    words = [w for k in range(2, 6) for w in product("EF", repeat=k)]
+    met = _lift_inputs(words, (2, 3, 4))
+    one_sided = [(n, c) for n, c in met if cx._one_sided(c.delta)]
+    assert (len(one_sided), len(met) - len(one_sided)) == (6024, 180)
+    distinct = {(n, c.summands, frozenset(c.delta.items())): c for n, c in one_sided}
+    fast = {key: cx.lift_to_box(c) for key, c in distinct.items()}
+    monkeypatch.setattr(cx, "_one_sided", lambda delta: False)
+    for key, c in distinct.items():
+        n = key[0]
+        plain = {k: cx._lift_entry(n, e) for k, e in c.delta.items()}
+        assert not cx.delta_square(cx.ProjComplex(cx.BoxAlgebraOps(n), c.summands, plain))
+        slow = cx.lift_to_box(c)
+        assert fast[key].summands == slow.summands and fast[key].delta == slow.delta
+        assert cx.parity_square(c) == cx.delta_square(c) == {}
+
+
+def test_one_sided_step_skips_both_squares(monkeypatch):
+    # a one-sided step multiplies no RR and no Box entries: no _rr_mult and
+    # no mat_then call, so a silent fall back to the corrected path shows;
+    # a two-sided step makes both
+    n = 3
+    EF = cu.lift_word(n, cu.parse_word("EF"))
+    real_then, real_rr, calls = cx.mat_then, cx._rr_mult, []
+    monkeypatch.setattr(cx, "mat_then", lambda *a: calls.append("mat_then") or real_then(*a))
+    monkeypatch.setattr(cx, "_rr_mult", lambda *a: calls.append("_rr_mult") or real_rr(*a))
+    for m, nc in ((EF, cu.make_E(n)), (cu.make_F(n), EF)):
+        cx.lift_to_box(cx.tensor_f2(m, nc))
+    assert EF.delta and calls == []
+    cx.lift_to_box(cx.tensor_f2(EF, EF))
+    assert set(calls) == {"mat_then", "_rr_mult"}
+
+
+def test_parity_square_names_rr_monomials():
+    # nonzero RR squares: parity_square gives the monomials delta_square
+    # gives, ((x_i, x_k), (y_i, y_k)) for summands (x_i, y_i) and (x_k, y_k),
+    # and lift_to_box refuses them, one-sided (with a letter) or not
+    n = 4
+    square = _invalid_r_complexes(n)["square"]
+    pairs = [(square, square)]
+    for letter in ("One", "E", "F"):
+        other = cu.letter_complex(n, letter)
+        pairs += [(square, other), (other, square)]
+    for pair in pairs:
+        c = cx.tensor_f2(*pair)
+        assert cx.contract_violation(c) is None
+        assert cx._one_sided(c.delta) == (pair != (square, square))
+        assert cx.parity_square(c) == cx.delta_square(c) != {}
+        with pytest.raises(cx.LiftError, match="nonzero over RR"):
+            cx.lift_to_box(c)
+
+
+def test_word_sweep_reaches_corrections(monkeypatch):
+    # the catun word sweep lifts the four-letter E/F words, so at n = 3 it
+    # meets 4 two-sided steps and takes 2 corrections
+    real = cx._correction
+    corrections = []
+    monkeypatch.setattr(cx, "_correction", lambda *a: corrections.append(a) or real(*a))
+    real_lift, two_sided = cu.lift_to_box, []
+
+    def lift(c):
+        two_sided.append(not cx._one_sided(c.delta))
+        return real_lift(c)
+
+    monkeypatch.setattr(cu, "lift_to_box", lift)
+    assert ck.word_lift_failures(3) == ([], 228)
+    assert (sum(two_sided), len(corrections)) == (4, 2)
 
 
 def test_lift_without_correction_is_refused(monkeypatch):

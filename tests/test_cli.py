@@ -109,7 +109,7 @@ def test_verify_all_counts(capsys):
     assert all(r["failures"] == [] for r in reports)
     assert {r["suite"]: r["checks"] for r in reports} == {
         "quiver": 18, "algebra": 300, "box": 68585, "clifford": 1266,
-        "kzero": 4126, "bimodule": 1392, "catun": 156,
+        "kzero": 4126, "bimodule": 1392, "catun": 236,
     }
 
 

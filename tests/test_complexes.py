@@ -105,11 +105,12 @@ def _r_potential(n, v):
 
 
 @st.composite
-def contract_r_complexes(draw):
-    """Complexes over R at n <= 4 that keep the degree contract: summands at
-    unions of adjacent pairs in positions 0..2, and a drawn subset of the
-    entries the contract allows between them."""
-    n = draw(st.integers(1, 4))
+def contract_r_complexes(draw, n=None):
+    """Complexes over R at n <= 4 (or the given n) that keep the degree
+    contract: summands at unions of adjacent pairs in positions 0..2, and a
+    drawn subset of the entries the contract allows between them."""
+    if n is None:
+        n = draw(st.integers(1, 4))
     cells = draw(st.lists(
         st.tuples(st.frozensets(st.integers(0, n - 1)), st.integers(0, 2)),
         min_size=1, max_size=8,
@@ -134,6 +135,24 @@ def contract_r_complexes(draw):
 @given(contract_r_complexes())
 @settings(max_examples=300, deadline=None)
 def test_parity_square_matches_generic_square(c):
+    assert cx.contract_violation(c) is None
+    assert cx.parity_square(c) == cx.delta_square(c)
+    with mock.patch.object(cx, "parity_square", cx.delta_square):
+        generic = cx.verify_mc(c)
+    assert cx.verify_mc(c) == generic
+
+
+@st.composite
+def contract_rr_complexes(draw):
+    """Complexes over RR that keep the degree contract: tensor_f2 of two
+    such complexes over R at one n <= 3, one-sided or not."""
+    n = draw(st.integers(1, 3))
+    return cx.tensor_f2(draw(contract_r_complexes(n)), draw(contract_r_complexes(n)))
+
+
+@given(contract_rr_complexes())
+@settings(max_examples=100, deadline=None)
+def test_parity_square_matches_generic_square_rr(c):
     assert cx.contract_violation(c) is None
     assert cx.parity_square(c) == cx.delta_square(c)
     with mock.patch.object(cx, "parity_square", cx.delta_square):
