@@ -393,6 +393,9 @@ def tensor_f2(m, nc):
     diagonal entry (i, i); such keys are summed, and dropped if they cancel,
     every other key is written once.  The result is unchecked: lift_to_box,
     its one consumer, checks it."""
+    if not m.ops.tag == nc.ops.tag == "R" or m.ops.n != nc.ops.n:
+        raise AssertionError(f"tensor_f2 needs two complexes over R at one n, got "
+                             f"{m.ops.tag} at n={m.ops.n} and {nc.ops.tag} at n={nc.ops.n}")
     w = len(nc.summands)
     new = tuple.__new__
     summands = tuple([
@@ -427,44 +430,40 @@ def _side_entry(e, v, left):
 def lift_to_box(c):
     """Lift a tensor-square complex to the DG thickening.
 
-    Entries are lifted through the side-generator section.  In the
-    one-sided case, where every RR monomial has an idempotent factor on the
-    same side (as when a factor of tensor_f2 has no differential), the
-    lifted entries are X-only (or Y-only) paths, on which the section is
-    multiplicative and d = 0; the residual d(delta) + delta^2 of the lift
-    is then the section of the RR square, which parity_square counts once
-    the contract holds, and no correction is needed.  Otherwise each entry
-    of the residual gets one diagonal-generator correction of lower
-    cohomological degree, and the corrected complex is checked with
-    verify_mc.  Raises LiftError if the contract fails, if d(delta) +
-    delta^2 != 0 over RR, if some residual entry is inhomogeneous or not a
-    boundary in its Hom-space, or if the result is not a valid complex.
+    Every step checks the RR contract first, then the RR square: by
+    parity_square when every RR monomial has an idempotent factor on the
+    same side (one-sided, as when a factor of tensor_f2 has no
+    differential), else by delta_square.  Entries are lifted through the
+    side-generator section, which keeps their endpoints and q-degrees at
+    cohomological degree 0, so the lift keeps the contract.  One-sided
+    lifts are X-only (or Y-only) paths, on which the section is
+    multiplicative and d = 0, so their residual d(delta) + delta^2 is zero.
+    A lift without residual is returned as it is; otherwise each residual
+    entry gets one diagonal-generator correction of lower cohomological
+    degree, and the corrected complex is checked with verify_mc.  Raises
+    LiftError if the contract fails, if d(delta) + delta^2 != 0 over RR, if
+    some residual entry is not a boundary in its Hom-space, or if the
+    result is not a valid complex.
     """
     if c.ops.tag != "RR":
         raise AssertionError(f"lift_to_box needs a tensor-square complex, got {c.ops.tag}")
+    witness = contract_violation(c)
+    if witness is not None:
+        raise LiftError(witness)
     one_sided = _one_sided(c.delta)
-    if one_sided:
-        witness = contract_violation(c)
-        if witness is not None:
-            raise LiftError(witness)
-        square = parity_square(c)
-    else:
-        square = delta_square(c)
+    square = parity_square(c) if one_sided else delta_square(c)
     if square:
         raise LiftError(f"d(delta)+delta^2 nonzero over RR at {min(square)}")
     n = c.ops.n
     ops = BoxAlgebraOps(n)
     delta = {key: _lift_entry(n, e) for key, e in c.delta.items()}
     out = ProjComplex(ops, c.summands, delta)
-    if one_sided:  # the section keeps the contract and the zero square
+    residual = {} if one_sided else delta_square(out)
+    if not residual:
         return out
-    residual = delta_square(out)
-    if residual:
-        corrections = {key: _correction(ops, key, e) for key, e in sorted(residual.items())}
-        out = ProjComplex(ops, c.summands, mat_add(delta, corrections))
-        _, witness = verify_mc(out)
-    else:  # the square is zero, so only the contract is open
-        witness = contract_violation(out)
+    corrections = {key: _correction(ops, key, e) for key, e in sorted(residual.items())}
+    out = ProjComplex(ops, c.summands, mat_add(delta, corrections))
+    _, witness = verify_mc(out)
     if witness is not None:
         raise LiftError(witness)
     return out
@@ -487,10 +486,7 @@ def _correction(ops, key, e):
     """A Box element of one lower cohomological degree whose differential is
     the residual entry e at key; raises LiftError if there is none."""
     j, i = key
-    try:  # entries off their endpoints can give a mixed residual
-        out = _boundary_preimage(ops.n, e)
-    except ValueError as exc:
-        raise LiftError(f"residual at ({j},{i}): {exc}") from None
+    out = _boundary_preimage(ops.n, e)
     if out is None:
         raise LiftError(f"unliftable complex: residual at ({j},{i}) is not a boundary")
     return out
@@ -499,7 +495,9 @@ def _correction(ops, key, e):
 @lru_cache(maxsize=None)
 def _boundary_preimage(n, e):
     """_correction's solve, memoized: a repeated lift meets the same residual
-    entries.  None if e is not a boundary; ValueError, not cached, if mixed."""
+    entries.  None if e is not a boundary.  e is homogeneous: the input kept
+    the contract, so every residual entry between summands i and k has
+    degree (a_k - a_i, 2 - b_k + b_i) from v_i to v_k."""
     alg = box_algebra(n)
     _, cd, src, tgt = entry_degrees(BoxAlgebraOps(n), e)
     basis = alg.hom_basis(src, tgt, cohdeg=cd - 1)

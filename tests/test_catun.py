@@ -58,7 +58,7 @@ def test_unit_law_check_sees_relabeling(monkeypatch):
 
 
 def _invalid_r_complexes(n=4):
-    """Four complexes over R that break validity in different ways."""
+    """Five complexes over R that break validity in different ways."""
     ops = cx.RAlgebraOps(n)
     v = vx.from_seq
     a, b, c, e, c2 = 0, v((1, 0)), v((3, 2, 1, 0)), v((2, 1)), v((4, 3, 2, 1))
@@ -78,31 +78,44 @@ def _invalid_r_complexes(n=4):
         {(1, 0): frozenset({ab}), (2, 1): frozenset({bc}),
          (3, 0): frozenset({ae}), (2, 3): frozenset({ec2})},
     )
-    return {"square": square, "q_off": q_off, "ends_off": ends_off, "mixed": mixed}
+    # [1] -> [0] is no R monomial: the entry has no Hom-space
+    no_hom = cx.ProjComplex(ops, (S(v((1,)), 0, 0), S(v((0,)), 0, 1)),
+                            {(1, 0): frozenset({(v((1,)), v((0,)))})})
+    return {"square": square, "q_off": q_off, "ends_off": ends_off, "mixed": mixed,
+            "no_hom": no_hom}
 
 
-@pytest.mark.parametrize("defect", ["square", "q_off", "ends_off", "mixed"])
+@pytest.mark.parametrize("defect", ["square", "q_off", "ends_off", "mixed", "no_hom"])
 def test_rho_rejects_invalid_input(defect):
-    # tensor_f2 does not check its output: lift_to_box reports every defect
+    # tensor_f2 does not check its output: lift_to_box reports every defect,
+    # on one-sided steps (with a letter) and two-sided ones (with EF or itself)
     n = 4
     bad = _invalid_r_complexes(n)[defect]
     assert not cx.verify_mc(bad)[0]
-    for letter in ("One", "E", "F"):
-        other = cu.letter_complex(n, letter)
+    others = [cu.letter_complex(n, letter) for letter in ("One", "E", "F")]
+    for other in others + [cu.lift_word(n, cu.parse_word("EF"))]:
         for pair in ((bad, other), (other, bad)):
             with pytest.raises(cx.LiftError):
                 cu.rho(*pair)
+    with pytest.raises(cx.LiftError):
+        cu.rho(bad, bad)
 
 
 def test_rho_checks_contract_twice(monkeypatch):
     # on warm caches one rho step checks the degree contract once in
-    # lift_to_box and once in tensor_T's verify_mc, and nowhere else
+    # lift_to_box, on its RR input, and once in tensor_T's verify_mc, and
+    # nowhere else: one-sided (E, F) and two-sided without correction (EF, EF)
     E, F = cu.make_E(3), cu.make_F(3)
-    cu.rho(E, F)  # fill the t_pair and per-entry caches
-    real, calls = cx.contract_violation, []
-    monkeypatch.setattr(cx, "contract_violation", lambda c: calls.append(c) or real(c))
-    cu.rho(E, F)
-    assert len(calls) == 2
+    EF = cu.rho(E, F)
+    cu.rho(EF, EF)  # fill the t_pair and per-entry caches
+    assert not cx._one_sided(cx.tensor_f2(EF, EF).delta)
+    monkeypatch.setattr(cx, "_correction", lambda *a: pytest.fail("corrected"))
+    real = cx.contract_violation
+    for pair in ((E, F), (EF, EF)):
+        calls = []
+        monkeypatch.setattr(cx, "contract_violation", lambda c: calls.append(c) or real(c))
+        cu.rho(*pair)
+        assert len(calls) == 2 and calls[0].ops.tag == "RR"
 
 
 def _identity_loops(n=2):

@@ -147,6 +147,9 @@ def test_verify_caps_n(capsys):
     code, out = run(capsys, "verify", "--n", "9", "--suite", "catun")
     assert code == 0
     assert "n=5" in out
+    code, out = run(capsys, "verify", "--n", "9", "--suite", "quiver")
+    assert code == 0
+    assert "n=6" in out
     code, out = run(capsys, "verify", "--n", "6", "--suite", "quiver", "--bound-override")
     assert code == 0
     assert "n=6" in out

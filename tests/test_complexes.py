@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from functools import reduce
+from itertools import product
 from operator import or_
 from unittest import mock
 
@@ -290,16 +291,33 @@ def test_cached_box_degrees_match_sums(n):
         assert ops.degrees(m)[:2] == cx.entry_degrees(ops, frozenset([m]))[:2] == sums
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_section_keeps_rr_degrees(n):
+    # the section lifts every RR monomial (every pair of R basis monomials)
+    # to a Box path of the same endpoints, q-degree and cohomological
+    # degree 0, so an RR complex that keeps the contract lifts to one that
+    # does, and lift_to_box checks the contract over RR only
+    box, rr = cx.BoxAlgebraOps(n), cx.RRAlgebraOps(n)
+    verts = vx.all_vertices(n)
+    monos = [m for x in verts for w in verts if (m := ra.basis_mon_r(n, x, w)) is not None]
+    for m in product(monos, repeat=2):
+        assert box.degrees(box.algebra.section_rr(m)) == rr.degrees(m), m
+
+
 @pytest.mark.parametrize("call", [
     "cx.lift_to_box(cx.projective(cx.RAlgebraOps(2), 0))",
     "bm.tensor_T(cx.projective(cx.RAlgebraOps(2), 0))",
+    "cx.tensor_f2(cx.projective(cx.RAlgebraOps(2), 0), cx.projective(cx.RAlgebraOps(3), 0))",
+    "cu.rho(cu.letter_complex(2, 'One'), cu.letter_complex(3, 'F'))",
+    "cu.rho(cx.projective(cx.BoxAlgebraOps(2), (0, 0)), cu.make_F(2))",
 ])
 def test_invariant_guards_survive_optimize(call):
     # python -O strips assert statements; the guards must raise regardless
     src = os.path.dirname(os.path.dirname(cliffcat.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = f"import cliffcat.complexes as cx, cliffcat.bimodule as bm\n{call}"
+    imports = "import cliffcat.complexes as cx, cliffcat.bimodule as bm, cliffcat.catun as cu"
+    code = f"{imports}\n{call}"
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
