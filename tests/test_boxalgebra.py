@@ -181,10 +181,14 @@ def test_section_round_trips(alg2):
                     assert alg2.h_map(frozenset([lift])) == frozenset([mono])
 
 
-def test_qdeg_constant_per_hom_class(alg2):
-    # every class between fixed endpoints carries the forced q-degree
-    for (src, tgt), reps in alg2._classes.items():
-        assert len({alg2.qdeg(p) for p in reps}) <= 1
+def test_qdeg_constant_per_hom_class():
+    # every class between fixed endpoints carries the forced q-degree, so a
+    # lift correction drawn from one Hom-space keeps the q contract
+    for n in (2, 3, 4):
+        alg = BoxAlgebra(n)
+        alg.build_all()
+        for (src, tgt), reps in alg._classes.items():
+            assert len({alg.qdeg(p) for p in reps}) <= 1
 
 
 def test_n3_builds():

@@ -104,17 +104,20 @@ def test_rho_rejects_invalid_input(defect):
 def test_rho_checks_contract_twice(monkeypatch):
     # on warm caches one rho step checks the degree contract once in
     # lift_to_box, on its RR input, and once in tensor_T's verify_mc, and
-    # nowhere else: one-sided (E, F) and two-sided without correction (EF, EF)
+    # nowhere else: one-sided (E, F), two-sided without correction (EF, EF)
+    # and two-sided with one correction (EF, FE)
     E, F = cu.make_E(3), cu.make_F(3)
-    EF = cu.rho(E, F)
-    cu.rho(EF, EF)  # fill the t_pair and per-entry caches
-    assert not cx._one_sided(cx.tensor_f2(EF, EF).delta)
-    monkeypatch.setattr(cx, "_correction", lambda *a: pytest.fail("corrected"))
-    real = cx.contract_violation
-    for pair in ((E, F), (EF, EF)):
-        calls = []
+    EF, FE = cu.rho(E, F), cu.rho(F, E)
+    cu.rho(EF, EF), cu.rho(EF, FE)  # fill the t_pair and per-entry caches
+    real_correction, real = cx._correction, cx.contract_violation
+    for pair, corrected in (((E, F), 0), ((EF, EF), 0), ((EF, FE), 1)):
+        assert cx._one_sided(cx.tensor_f2(*pair).delta) == (pair == (E, F))
+        calls, corrections = [], []
         monkeypatch.setattr(cx, "contract_violation", lambda c: calls.append(c) or real(c))
+        monkeypatch.setattr(
+            cx, "_correction", lambda *a: corrections.append(a) or real_correction(*a))
         cu.rho(*pair)
+        assert len(corrections) == corrected
         assert len(calls) == 2 and calls[0].ops.tag == "RR"
 
 

@@ -150,9 +150,9 @@ def test_verify_caps_n(capsys):
     code, out = run(capsys, "verify", "--n", "9", "--suite", "quiver")
     assert code == 0
     assert "n=6" in out
-    code, out = run(capsys, "verify", "--n", "6", "--suite", "quiver", "--bound-override")
+    code, out = run(capsys, "verify", "--n", "7", "--suite", "quiver", "--bound-override")
     assert code == 0
-    assert "n=6" in out
+    assert "n=7" in out
 
 
 def test_usage_errors(capsys):

@@ -291,7 +291,7 @@ def test_cached_box_degrees_match_sums(n):
         assert ops.degrees(m)[:2] == cx.entry_degrees(ops, frozenset([m]))[:2] == sums
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_section_keeps_rr_degrees(n):
     # the section lifts every RR monomial (every pair of R basis monomials)
     # to a Box path of the same endpoints, q-degree and cohomological
