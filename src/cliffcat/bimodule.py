@@ -188,7 +188,7 @@ def tensor_T(c):
     the action of each entry (j, i) in the rectangle of blocks j and i.  When
     every entry starts and ends at its summands' vertices and none is
     diagonal, as the Box contract demands, the pieces are disjoint and each
-    key is written once; otherwise the pieces are summed."""
+    key is written once; pieces that overlap raise AssertionError."""
     if c.ops.tag != "Box":
         raise AssertionError(f"tensor_T needs a complex over the box algebra, got {c.ops.tag}")
     n = c.ops.n
@@ -204,10 +204,7 @@ def tensor_T(c):
     pieces += [(bases[j], bases[i], act_element(n, e)) for (j, i), e in c.delta.items()]
     delta = {(row + j, col + i): e for row, col, entries in pieces for (j, i), e in entries.items()}
     if len(delta) < sum([len(entries) for _, _, entries in pieces]):
-        delta = mat_add(*(
-            {(row + j, col + i): e for (j, i), e in entries.items()}
-            for row, col, entries in pieces
-        ))
+        raise AssertionError("tensor_T pieces overlap: its input breaks the Box contract")
     out = ProjComplex(RAlgebraOps(n), summands, delta)
     ok, witness = verify_mc(out)
     if not ok:

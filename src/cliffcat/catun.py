@@ -55,8 +55,9 @@ def letter_complex(n, letter):
 
 
 def rho(m, nc):
-    """The lifted product of two complexes over the base algebra.  Each step
-    is checked once: by lift_to_box (LiftError) and by tensor_T's verify_mc."""
+    """The lifted product of two complexes over the base algebra.  Its
+    inputs are checked by tensor_f2 (LiftError), its output by tensor_T's
+    verify_mc, and a corrected lift by lift_to_box."""
     return tensor_T(lift_to_box(tensor_f2(m, nc)))
 
 

@@ -26,10 +26,12 @@ from .laurent import LaurentZ, LaurentZH
 QFORM_DRAWS = 1000  # quadratic-form draws per n, from random.Random(n)
 
 # the words whose lifts are checked: every word of length 1..3 over these,
-# and every four-letter E/F word, the shortest words whose lifts have a step
-# where both factors have a differential, and so may need a correction
+# and every four- and five-letter E/F word: four letters are the fewest
+# whose lifts have a step where both factors have a differential, and so
+# may need a correction; five letters meet many more such steps
 WORDS = [w for k in (1, 2, 3) for w in product(("E", "F", "Q", "Qinv"), repeat=k)]
 EF_WORDS_4 = list(product(("E", "F"), repeat=4))
+EF_WORDS_5 = list(product(("E", "F"), repeat=5))
 
 # the components of Gamma_2 by Euler grading
 GAMMA2_COMPONENTS = {
@@ -407,11 +409,11 @@ def all_trees(lo, hi):
 
 
 def word_lift_failures(n):
-    """Every word in WORDS and EF_WORDS_4 under every association tree lifts
-    to a valid complex whose K0 class is the word's product folded over the
-    same tree."""
+    """Every word in WORDS, EF_WORDS_4 and EF_WORDS_5 under every association
+    tree lifts to a valid complex whose K0 class is the word's product
+    folded over the same tree."""
     failures, checks = [], 0
-    for w in WORDS + EF_WORDS_4:
+    for w in WORDS + EF_WORDS_4 + EF_WORDS_5:
         for tree in all_trees(0, len(w)):
             checks += 1
             lifted = cu.lift_word(n, cu.Word(w, tree))

@@ -21,7 +21,7 @@ from .quiver import DIAG, XSIDE, YSIDE
 
 
 class LiftError(Exception):
-    """A tensor-square complex admitted no valid diagonal correction."""
+    """A rho step got an invalid input, or its lift no valid correction."""
 
 
 # ---------------------------------------------------------------------------
@@ -303,30 +303,25 @@ def delta_square(c):
 
 
 def parity_square(c):
-    """delta*delta of a complex over R or RR that keeps the degree contract.
+    """delta*delta of a complex over R that keeps the degree contract.
 
-    R Hom-spaces are at most one-dimensional, and so are those of RR, their
-    tensor squares; so each entry of such a complex is the basis monomial
-    between its endpoints, composable products never vanish and d = 0.
-    Entry (k, i) of the square is therefore the monomial v_i -> v_k when an
-    odd number of j have (j, i) and (k, j) in the support, and zero
-    otherwise: (v_i, v_k) over R, and ((x_i, x_k), (y_i, y_k)) over RR,
-    where v = (x, y).  The parities are XORs of int row masks.
-    delta_square is its test oracle."""
+    R Hom-spaces are at most one-dimensional, so each entry of such a
+    complex is the basis monomial between its endpoints, composable products
+    never vanish and d = 0.  Entry (k, i) of the square is therefore the
+    monomial (v_i, v_k) when an odd number of j have (j, i) and (k, j) in
+    the support, and zero otherwise.  The parities are XORs of int row
+    masks.  delta_square is its test oracle."""
     rows = [0] * len(c.summands)  # j -> mask of the k with (k, j) in the support
     for k, j in c.delta:
         rows[j] |= 1 << k
     masks = [0] * len(c.summands)  # i -> mask of the k met an odd number of times
     for j, i in c.delta:
         masks[i] ^= rows[j]
-    odd = [(k, i) for i, mask in enumerate(masks) if mask for k in vx.seq(mask)]
-    if not odd:
-        return {}
-    verts = [s.vertex for s in c.summands]
-    if c.ops.tag == "R":
-        return {(k, i): frozenset([(verts[i], verts[k])]) for k, i in odd}
-    # zip pairs (x_i, y_i) and (x_k, y_k) into ((x_i, x_k), (y_i, y_k))
-    return {(k, i): frozenset([tuple(zip(verts[i], verts[k]))]) for k, i in odd}
+    summands = c.summands
+    return {
+        (k, i): frozenset([(summands[i].vertex, summands[k].vertex)])
+        for i, mask in enumerate(masks) if mask for k in vx.seq(mask)
+    }
 
 
 def contract_violation(c):
@@ -337,12 +332,12 @@ def contract_violation(c):
 def verify_mc(c):
     """Validity of a twisted complex; returns (ok, witness-or-None).
 
-    The contract is checked first; over R and RR its success is what lets
-    the square be counted by parity_square."""
+    The contract is checked first; over R its success is what lets the
+    square be counted by parity_square."""
     witness = contract_violation(c)
     if witness is not None:
         return False, witness
-    sq = delta_square(c) if c.ops.tag == "Box" else parity_square(c)
+    sq = parity_square(c) if c.ops.tag == "R" else delta_square(c)
     if sq:
         (j, i), e = sorted(sq.items())[0]
         return False, (
@@ -389,13 +384,18 @@ def tensor_f2(m, nc):
     """Tensor two complexes over R into one over the tensor square.
 
     The summand P(v_i) (x) P(w_j) sits at i * w + j, w = len(nc.summands).
-    The blocks of d(x)1 and 1(x)d share a key only where both inputs have a
-    diagonal entry (i, i); such keys are summed, and dropped if they cancel,
-    every other key is written once.  The result is unchecked: lift_to_box,
-    its one consumer, checks it."""
+    Both inputs are checked by verify_mc (LiftError with its witness): over
+    F2 the tensor product is valid exactly when both factors are, since its
+    entries keep their factors' degrees and (d(x)1 + 1(x)d)^2 = d^2(x)1 +
+    1(x)d^2.  A valid input has no diagonal entry (i, i), so the blocks of
+    d(x)1 and 1(x)d are disjoint and each key is written once."""
     if not m.ops.tag == nc.ops.tag == "R" or m.ops.n != nc.ops.n:
         raise AssertionError(f"tensor_f2 needs two complexes over R at one n, got "
                              f"{m.ops.tag} at n={m.ops.n} and {nc.ops.tag} at n={nc.ops.n}")
+    for c in (m, nc):
+        ok, witness = verify_mc(c)
+        if not ok:
+            raise LiftError(witness)
     w = len(nc.summands)
     new = tuple.__new__
     summands = tuple([
@@ -403,18 +403,16 @@ def tensor_f2(m, nc):
         for v1, a1, b1 in m.summands
         for v2, a2, b2 in nc.summands
     ])
-    delta = {}
-    for (j, i), e in m.delta.items():
-        for j2, sj in enumerate(nc.summands):
-            delta[(j * w + j2, i * w + j2)] = _side_entry(e, sj.vertex, True)
-    for (j, i), e in nc.delta.items():
-        for i2, si in enumerate(m.summands):
-            key = (i2 * w + j, i2 * w + i)
-            entry = _side_entry(e, si.vertex, False)
-            if key in delta:
-                entry ^= delta.pop(key)
-            if entry:
-                delta[key] = entry
+    delta = {
+        (j * w + j2, i * w + j2): _side_entry(e, sj.vertex, True)
+        for (j, i), e in m.delta.items()
+        for j2, sj in enumerate(nc.summands)
+    }
+    delta.update({
+        (i2 * w + j, i2 * w + i): _side_entry(e, si.vertex, False)
+        for (j, i), e in nc.delta.items()
+        for i2, si in enumerate(m.summands)
+    })
     return ProjComplex(RRAlgebraOps(m.ops.n), summands, delta)
 
 
@@ -428,37 +426,36 @@ def _side_entry(e, v, left):
 
 
 def lift_to_box(c):
-    """Lift a tensor-square complex to the DG thickening.
+    """Lift a tensor-square complex, as tensor_f2 makes it, to the DG thickening.
 
-    Every step checks the RR contract first, then the RR square: by
-    parity_square when every RR monomial has an idempotent factor on the
-    same side (one-sided, as when a factor of tensor_f2 has no
-    differential), else by delta_square.  Entries are lifted through the
+    tensor_f2 has checked both factors, so the input keeps the degree
+    contract and squares to zero over RR.  Entries are lifted through the
     side-generator section, which keeps their endpoints and q-degrees at
-    cohomological degree 0, so the lift keeps the contract.  One-sided
-    lifts are X-only (or Y-only) paths, on which the section is
-    multiplicative and d = 0, so their residual d(delta) + delta^2 is zero.
-    A lift without residual is returned as it is; otherwise each residual
-    entry gets one diagonal-generator correction at its own endpoints and
-    one lower cohomological degree (Box q-degrees are forced by endpoints),
-    which keeps the contract, so only the corrected square is checked.
-    Raises LiftError if the contract fails, if some residual entry is not
-    a boundary, or if d(delta) + delta^2 != 0 over RR or corrected Box.
+    cohomological degree 0, so the lift keeps the contract.  A one-sided
+    input (every RR monomial has an idempotent factor on the same side, as
+    when a factor of tensor_f2 has no differential) lifts to X-only (or
+    Y-only) paths, on which the section is multiplicative and d = 0, so its
+    residual d(delta) + delta^2 is zero and it is returned as it is.  A
+    two-sided input is squared over RR by delta_square, and its lift's
+    residual is computed; if that is nonzero, each residual entry gets one
+    diagonal-generator correction at its own endpoints and one lower
+    cohomological degree (Box q-degrees are forced by endpoints), which
+    keeps the contract, so only the corrected square is checked.  Raises
+    LiftError if d(delta) + delta^2 != 0 over RR, if some residual entry is
+    not a boundary, or if the corrected square is nonzero.
     """
     if c.ops.tag != "RR":
         raise AssertionError(f"lift_to_box needs a tensor-square complex, got {c.ops.tag}")
-    witness = contract_violation(c)
-    if witness is not None:
-        raise LiftError(witness)
-    one_sided = _one_sided(c.delta)
-    square = parity_square(c) if one_sided else delta_square(c)
-    if square:
-        raise LiftError(f"d(delta)+delta^2 nonzero over RR at {min(square)}")
     n = c.ops.n
     ops = BoxAlgebraOps(n)
     delta = {key: _lift_entry(n, e) for key, e in c.delta.items()}
     out = ProjComplex(ops, c.summands, delta)
-    residual = {} if one_sided else delta_square(out)
+    if _one_sided(c.delta):
+        return out
+    square = delta_square(c)
+    if square:
+        raise LiftError(f"d(delta)+delta^2 nonzero over RR at {min(square)}")
+    residual = delta_square(out)
     if not residual:
         return out
     corrections = {key: _correction(ops, key, e) for key, e in sorted(residual.items())}

@@ -276,11 +276,10 @@ def test_tensor_T_respects_shifts():
     }
 
 
-def test_tensor_T_sums_colliding_blocks(monkeypatch):
+def test_tensor_T_refuses_colliding_blocks(monkeypatch):
     # a diagonal entry off its endpoints (the Box contract allows neither):
-    # its action lands on the T block's differential entry (1, 0), and the
-    # two must be summed, not overwritten.  tensor_T's own check rejects the
-    # result, so the assembled complex is caught on its way to verify_mc.
+    # its action lands on the T block's differential entry (1, 0).  tensor_T
+    # never sums overlapping pieces: it refuses them before its verify_mc.
     n = 2
     x, y = vx.from_seq((0,)), vx.from_seq((1,))
     mono = ((0, 0), ((YSIDE, 1), (XSIDE, 0)))
@@ -288,20 +287,10 @@ def test_tensor_T_sums_colliding_blocks(monkeypatch):
         cx.BoxAlgebraOps(n), (cx.Summand((x, y), 0, 0),), {(0, 0): frozenset({mono})}
     )
     act = bm.act_element(n, frozenset([mono]))
-    T = bm.t_pair(n, x, y).complex
-    assert set(act) & set(T.delta)
-    with pytest.raises(AssertionError, match="invalid complex"):
+    assert set(act) & set(bm.t_pair(n, x, y).complex.delta)
+    monkeypatch.setattr(bm, "verify_mc", lambda out: pytest.fail("verify_mc reached"))
+    with pytest.raises(AssertionError, match="pieces overlap"):
         bm.tensor_T(c)
-    seen = []
-
-    def record(out):
-        seen.append(out)
-        return True, None
-
-    monkeypatch.setattr(bm, "verify_mc", record)
-    bm.tensor_T(c)
-    assert seen[0].summands == T.summands
-    assert seen[0].delta == cx.mat_add(T.delta, act)
 
 
 def test_tensor_T_zero():

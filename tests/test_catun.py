@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from itertools import product
 
 import pytest
@@ -58,7 +59,7 @@ def test_unit_law_check_sees_relabeling(monkeypatch):
 
 
 def _invalid_r_complexes(n=4):
-    """Five complexes over R that break validity in different ways."""
+    """Six complexes over R that break validity in different ways."""
     ops = cx.RAlgebraOps(n)
     v = vx.from_seq
     a, b, c, e, c2 = 0, v((1, 0)), v((3, 2, 1, 0)), v((2, 1)), v((4, 3, 2, 1))
@@ -81,31 +82,38 @@ def _invalid_r_complexes(n=4):
     # [1] -> [0] is no R monomial: the entry has no Hom-space
     no_hom = cx.ProjComplex(ops, (S(v((1,)), 0, 0), S(v((0,)), 0, 1)),
                             {(1, 0): frozenset({(v((1,)), v((0,)))})})
+    # the identity loop on P([]): in the tensor square of loop with itself
+    # the d(x)1 and 1(x)d blocks cancel over F2, so only a check of the
+    # inputs sees it
+    loop = cx.ProjComplex(ops, (S(a, 0, 0),), {(0, 0): frozenset({(a, a)})})
     return {"square": square, "q_off": q_off, "ends_off": ends_off, "mixed": mixed,
-            "no_hom": no_hom}
+            "no_hom": no_hom, "loop": loop}
 
 
-@pytest.mark.parametrize("defect", ["square", "q_off", "ends_off", "mixed", "no_hom"])
+@pytest.mark.parametrize("defect", ["square", "q_off", "ends_off", "mixed", "no_hom", "loop"])
 def test_rho_rejects_invalid_input(defect):
-    # tensor_f2 does not check its output: lift_to_box reports every defect,
-    # on one-sided steps (with a letter) and two-sided ones (with EF or itself)
+    # tensor_f2 checks both inputs and reports every defect with its
+    # witness over R, on one-sided steps (with a letter) and two-sided ones
+    # (with EF or itself)
     n = 4
     bad = _invalid_r_complexes(n)[defect]
-    assert not cx.verify_mc(bad)[0]
+    ok, witness = cx.verify_mc(bad)
+    assert not ok
     others = [cu.letter_complex(n, letter) for letter in ("One", "E", "F")]
     for other in others + [cu.lift_word(n, cu.parse_word("EF"))]:
         for pair in ((bad, other), (other, bad)):
-            with pytest.raises(cx.LiftError):
+            with pytest.raises(cx.LiftError, match=re.escape(witness)):
                 cu.rho(*pair)
-    with pytest.raises(cx.LiftError):
+    with pytest.raises(cx.LiftError, match=re.escape(witness)):
         cu.rho(bad, bad)
 
 
 def test_rho_checks_contract_twice(monkeypatch):
-    # on warm caches one rho step checks the degree contract once in
-    # lift_to_box, on its RR input, and once in tensor_T's verify_mc, and
-    # nowhere else: one-sided (E, F), two-sided without correction (EF, EF)
-    # and two-sided with one correction (EF, FE)
+    # on warm caches one rho step checks the degree contract at two points:
+    # on both R inputs in tensor_f2, and on the output in tensor_T's
+    # verify_mc; three calls, never over RR or Box.  This holds one-sided
+    # (E, F), two-sided without correction (EF, EF) and two-sided with one
+    # correction (EF, FE)
     E, F = cu.make_E(3), cu.make_F(3)
     EF, FE = cu.rho(E, F), cu.rho(F, E)
     cu.rho(EF, EF), cu.rho(EF, FE)  # fill the t_pair and per-entry caches
@@ -116,9 +124,9 @@ def test_rho_checks_contract_twice(monkeypatch):
         monkeypatch.setattr(cx, "contract_violation", lambda c: calls.append(c) or real(c))
         monkeypatch.setattr(
             cx, "_correction", lambda *a: corrections.append(a) or real_correction(*a))
-        cu.rho(*pair)
+        out = cu.rho(*pair)
         assert len(corrections) == corrected
-        assert len(calls) == 2 and calls[0].ops.tag == "RR"
+        assert len(calls) == 3 and all(c is x for c, x in zip(calls, (*pair, out)))
 
 
 def _identity_loops(n=2):
@@ -130,25 +138,25 @@ def _identity_loops(n=2):
     return loop_v, loop_w
 
 
-def test_rho_sums_diagonal_collisions():
-    # complexes with a diagonal entry break the contract, but rho must still
-    # sum, not overwrite: over R the two identity loops cancel in tensor_f2,
-    # so rho(P(v) with loop, P(w) with loop) is T(v, w)
+def test_rho_refuses_cancelling_loops():
+    # identity loops break the cohomological contract; the loops of P(v) and
+    # P(w) would cancel in the tensor square over F2, so only the check of
+    # the inputs refuses rho(P(v) with loop, P(w) with loop)
     loop_v, loop_w = _identity_loops()
-    v, w = loop_v.summands[0].vertex, loop_w.summands[0].vertex
-    got = cu.rho(loop_v, loop_w)
-    T = bm.t_pair(2, v, w).complex
-    assert got.summands == T.summands and got.delta == T.delta
-    with pytest.raises(cx.LiftError):
-        cu.rho(loop_v, cx.projective(loop_v.ops, w))
+    bare_w = cx.projective(loop_v.ops, loop_w.summands[0].vertex)
+    for pair in ((loop_v, loop_w), (loop_v, bare_w), (bare_w, loop_w)):
+        with pytest.raises(cx.LiftError, match=r"entry \(0,0\) violates the cohomological"):
+            cu.rho(*pair)
 
 
 def test_delta_square_skips_zero_differential(monkeypatch):
     # over R and RR, d = 0 and delta_square is the product alone; the full
     # formula d(delta) + delta*delta is its oracle, on squares zero and not
     loop_v, loop_w = _identity_loops()
-    bare_w = cx.projective(loop_v.ops, 1 << 1)
-    complexes = [loop_v, loop_w, cx.tensor_f2(loop_v, loop_w), cx.tensor_f2(loop_v, bare_w)]
+    (v, _, _), (w, _, _) = loop_v.summands[0], loop_w.summands[0]
+    loop_vw = cx.ProjComplex(cx.RRAlgebraOps(2), (cx.Summand((v, w), 0, 0),),
+                             {(0, 0): frozenset({((v, v), (w, w))})})
+    complexes = [loop_v, loop_w, loop_vw]
     real_f2 = cx.tensor_f2
 
     def record(m, nc):
@@ -231,7 +239,7 @@ def test_rho_memos_match_fresh_computation(monkeypatch):
         fresh = memos[name].__wrapped__
         for args, out in calls.items():
             assert out == fresh(*args), (name, args)
-    assert {tag for tag, _ in cx._DEGREES} == {"R", "RR", "Box"}
+    assert {tag for tag, _ in cx._DEGREES} == {"R", "Box"}
     for (tag, n), memo in cx._DEGREES.items():
         ops = cx._OPS[tag](n)
         for e, degs in memo.items():
@@ -287,9 +295,8 @@ def _lift_inputs(words, ns):
 def test_one_sided_lifts_match_corrected_path(monkeypatch):
     # every E/F word of 2-5 letters under every tree at n = 2..4 meets 6,024
     # one-sided lift_to_box inputs and 180 two-sided ones.  On each distinct
-    # one-sided input the plain section lift has a zero square, the output
-    # equals that of the corrected path, and parity_square decides the RR
-    # square as delta_square does.
+    # one-sided input the RR square and the plain section lift's square are
+    # zero, and the output equals that of the corrected path.
     words = [w for k in range(2, 6) for w in product("EF", repeat=k)]
     met = _lift_inputs(words, (2, 3, 4))
     one_sided = [(n, c) for n, c in met if cx._one_sided(c.delta)]
@@ -303,7 +310,7 @@ def test_one_sided_lifts_match_corrected_path(monkeypatch):
         assert not cx.delta_square(cx.ProjComplex(cx.BoxAlgebraOps(n), c.summands, plain))
         slow = cx.lift_to_box(c)
         assert fast[key].summands == slow.summands and fast[key].delta == slow.delta
-        assert cx.parity_square(c) == cx.delta_square(c) == {}
+        assert cx.delta_square(c) == {}
 
 
 def test_one_sided_step_skips_both_squares(monkeypatch):
@@ -323,27 +330,29 @@ def test_one_sided_step_skips_both_squares(monkeypatch):
 
 
 def test_parity_square_names_rr_monomials():
-    # nonzero RR squares: parity_square gives the monomials delta_square
-    # gives, ((x_i, x_k), (y_i, y_k)) for summands (x_i, y_i) and (x_k, y_k),
-    # and lift_to_box refuses them, one-sided (with a letter) or not
+    # a factor with a nonzero square makes the RR square nonzero too:
+    # tensor_f2 refuses it before any RR complex is built, one-sided (with a
+    # letter) or not, and names the R monomial of the factor's square, the
+    # one delta_square gives
     n = 4
     square = _invalid_r_complexes(n)["square"]
+    assert cx.parity_square(square) == cx.delta_square(square) != {}
+    witness = "d(delta)+delta^2 nonzero at (2,0): r([]->[3,2,1,0])"
+    assert cx.verify_mc(square) == (False, witness)
     pairs = [(square, square)]
     for letter in ("One", "E", "F"):
         other = cu.letter_complex(n, letter)
         pairs += [(square, other), (other, square)]
     for pair in pairs:
-        c = cx.tensor_f2(*pair)
-        assert cx.contract_violation(c) is None
-        assert cx._one_sided(c.delta) == (pair != (square, square))
-        assert cx.parity_square(c) == cx.delta_square(c) != {}
-        with pytest.raises(cx.LiftError, match="nonzero over RR"):
-            cx.lift_to_box(c)
+        with pytest.raises(cx.LiftError) as err:
+            cx.tensor_f2(*pair)
+        assert str(err.value) == witness
 
 
 def test_word_sweep_reaches_corrections(monkeypatch):
-    # the catun word sweep lifts the four-letter E/F words, so at n = 3 it
-    # meets 4 two-sided steps and takes 2 corrections
+    # the catun word sweep lifts the four- and five-letter E/F words, so at
+    # n = 3 it meets 68 two-sided steps and takes 58 corrections (4 and 2 of
+    # them in the four-letter words)
     real = cx._correction
     corrections = []
     monkeypatch.setattr(cx, "_correction", lambda *a: corrections.append(a) or real(*a))
@@ -354,8 +363,8 @@ def test_word_sweep_reaches_corrections(monkeypatch):
         return real_lift(c)
 
     monkeypatch.setattr(cu, "lift_to_box", lift)
-    assert ck.word_lift_failures(3) == ([], 228)
-    assert (sum(two_sided), len(corrections)) == (4, 2)
+    assert ck.word_lift_failures(3) == ([], 676)
+    assert (sum(two_sided), len(corrections)) == (68, 58)
 
 
 def test_lift_without_correction_is_refused(monkeypatch):

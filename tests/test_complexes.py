@@ -13,6 +13,7 @@ import pytest
 from hypothesis import find, given, settings, strategies as st
 
 import cliffcat
+from cliffcat import catun as cu
 from cliffcat import cli
 from cliffcat import kzero as kz
 from cliffcat import ralgebra as ra
@@ -143,24 +144,6 @@ def test_parity_square_matches_generic_square(c):
     assert cx.verify_mc(c) == generic
 
 
-@st.composite
-def contract_rr_complexes(draw):
-    """Complexes over RR that keep the degree contract: tensor_f2 of two
-    such complexes over R at one n <= 3, one-sided or not."""
-    n = draw(st.integers(1, 3))
-    return cx.tensor_f2(draw(contract_r_complexes(n)), draw(contract_r_complexes(n)))
-
-
-@given(contract_rr_complexes())
-@settings(max_examples=100, deadline=None)
-def test_parity_square_matches_generic_square_rr(c):
-    assert cx.contract_violation(c) is None
-    assert cx.parity_square(c) == cx.delta_square(c)
-    with mock.patch.object(cx, "parity_square", cx.delta_square):
-        generic = cx.verify_mc(c)
-    assert cx.verify_mc(c) == generic
-
-
 def test_contract_complexes_reach_both_square_outcomes():
     # the strategy above meets both outcomes of the square check
     assert find(contract_r_complexes(), lambda c: cx.delta_square(c))
@@ -235,20 +218,26 @@ def _tensor_f2_oracle(m, nc):
     return cx.mat_add(left, right)
 
 
-def test_tensor_f2_sums_diagonal_collisions():
-    # d(x)1 and 1(x)d meet only where both factors have a diagonal entry;
-    # there the two blocks are summed, never overwritten
+def test_tensor_f2_refuses_diagonal_entries():
+    # d(x)1 and 1(x)d could meet only where both factors have a diagonal
+    # entry, which breaks the contract: tensor_f2 refuses such an input with
+    # its witness, so the blocks it writes once are disjoint
     n = 2
     ops = cx.RAlgebraOps(n)
     v, w = vx.from_seq((1, 0)), vx.from_seq((2,))
     loop_v = cx.ProjComplex(ops, (cx.Summand(v, 0, 0),), {(0, 0): frozenset({(v, v)})})
     loop_w = cx.ProjComplex(ops, (cx.Summand(w, 0, 0),), {(0, 0): frozenset({(w, w)})})
     mixed_w = cx.ProjComplex(ops, (cx.Summand(w, 0, 0),), {(0, 0): frozenset({(w, w), (0, w)})})
-    for m, nc in [(two_step(), two_step()), (loop_v, loop_w), (loop_v, mixed_w),
-                  (two_step(), loop_w), (loop_v, two_step())]:
+    bare_w = cx.projective(ops, w)
+    for m, nc in [(two_step(), two_step()), (two_step(), bare_w), (bare_w, two_step())]:
         assert cx.tensor_f2(m, nc).delta == _tensor_f2_oracle(m, nc)
-    assert not cx.tensor_f2(loop_v, loop_w).delta
-    assert cx.tensor_f2(loop_v, mixed_w).delta == {(0, 0): {((v, v), (0, w))}}
+    # (left, right, the first invalid one, whose witness is raised)
+    for m, nc, bad in [(loop_v, loop_w, loop_v), (loop_v, mixed_w, loop_v),
+                       (two_step(), loop_w, loop_w), (loop_v, two_step(), loop_v),
+                       (bare_w, mixed_w, mixed_w)]:
+        with pytest.raises(cx.LiftError) as err:
+            cx.tensor_f2(m, nc)
+        assert cx.verify_mc(bad) == (False, str(err.value))
 
 
 def test_lift_of_tensor_is_valid():
@@ -265,16 +254,16 @@ def test_lift_of_tensor_is_valid():
 
 
 def test_lift_to_box_keeps_contract_check():
-    # one entry off the q contract with delta^2 = 0: the lift leaves its
-    # correction loop at once, and the contract check must still catch it
-    good = cx.tensor_f2(two_step(), cx.projective(cx.RAlgebraOps(2), 0))
-    [(j, i)] = good.delta
-    summands = list(good.summands)
-    summands[i] = cx.Summand(summands[i].vertex, summands[i].qshift + 1, summands[i].cohshift)
-    bad = cx.ProjComplex(good.ops, tuple(summands), good.delta)
+    # one entry off the q contract with delta^2 = 0: lift_to_box relies on
+    # the contract, and rho refuses the input in tensor_f2, either side
+    good = two_step()
+    (_, qshift, cohshift), target = good.summands
+    bad = cx.ProjComplex(good.ops, (cx.Summand(0, qshift + 1, cohshift), target), good.delta)
     assert not cx.delta_square(bad)
-    with pytest.raises(cx.LiftError, match="q contract"):
-        cx.lift_to_box(bad)
+    other = cx.projective(good.ops, 0)
+    for pair in ((bad, other), (other, bad)):
+        with pytest.raises(cx.LiftError, match="q contract"):
+            cu.rho(*pair)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -31,6 +31,30 @@ print(json.dumps({"missing": tracer.missing,
                   "unwrapped": sorted(set(tracing.SPANS) - wrapped)}))
 """
 
+# Installs perfbench's tracer, lifts a fixed word set at n = 4 (the lift-n4
+# workload's n) with the tracer active, and reports the traced names that got
+# calls, the names run.CALLED["lift-n4"] predicts, and the harness's own
+# bypass problems.  FEEF's tree splits it into FE and EF, both with a
+# differential, so its last step is two-sided and takes a correction.
+_LIFT_BYPASS = """
+import json, run, tracing
+from cliffcat import catun as cu, complexes as cx
+tracer = tracing.Tracer()
+tracer.install()
+real, corrections = cx._correction, []
+cx._correction = lambda *a: corrections.append(a) or real(*a)
+tracer.start_op(0)
+for word, tree in [("EF", None), ("FEF", None), ("FEEF", ((0, 1), (2, 3)))]:
+    cu.lift_word(4, cu.Word(tuple(word), tree))
+tracer.stop_op()
+print(json.dumps({
+    "corrections": len(corrections),
+    "called": sorted(name for name, stats in tracer.stats.items() if stats[0]),
+    "predicted": sorted(run.CALLED["lift-n4"]),
+    "problems": run.bypass_problems("lift-n4", tracer.metrics()),
+}))
+"""
+
 
 def test_no_bare_assert_in_package():
     # python -O strips assert statements, so no invariant may rest on one;
@@ -95,3 +119,17 @@ def test_traced_names_resolve():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report == {"missing": [], "unwrapped": []}, report
+
+
+def test_lift_bypass_prediction_holds():
+    # the traced names a word lift calls are exactly those the lift-n4
+    # workload predicts, so a change that adds or drops a layer's calls
+    # fails here, not only under the harness's --trace 1 run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", _LIFT_BYPASS], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["corrections"] > 0
+    assert report["called"] == report["predicted"]
+    assert report["problems"] == []
