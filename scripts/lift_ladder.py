@@ -28,6 +28,7 @@ MEMOS = {
     "side_entry": cx._side_entry,
     "boundary_preimage": cx._boundary_preimage,
     "act_element": bm.act_element,
+    "side_action": cu._side_action,
     "t_pair": bm.t_pair,
 }
 

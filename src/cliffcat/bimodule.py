@@ -181,27 +181,36 @@ def leibniz_defect(n, xy, kind, t, act):
 
 
 def tensor_T(c):
-    """Replace each boxed summand by its shifted T block; entries act factor-wise.
-
-    The differential is assembled from pieces (row offset, column offset,
-    entries): the T(x, y) block of each summand that has a differential, and
-    the action of each entry (j, i) in the rectangle of blocks j and i.  When
-    every entry starts and ends at its summands' vertices and none is
-    diagonal, as the Box contract demands, the pieces are disjoint and each
-    key is written once; pieces that overlap raise AssertionError."""
+    """Replace each boxed summand by its shifted T block; entries act factor-wise."""
     if c.ops.tag != "Box":
         raise AssertionError(f"tensor_T needs a complex over the box algebra, got {c.ops.tag}")
     n = c.ops.n
     blocks = [t_pair(n, *s.vertex).complex for s in c.summands]
+    shifts = [(q, k) for _, q, k in c.summands]
+    actions = [(j, i, act_element(n, e)) for (j, i), e in c.delta.items()]
+    return assemble_T(n, blocks, shifts, actions)
+
+
+def assemble_T(n, blocks, shifts, actions):
+    """The complex over R of T blocks: blocks[i] shifted by shifts[i] =
+    (q, k), and the action entries of each (j, i, entries) in the rectangle
+    of blocks j and i.
+
+    The differential is assembled from pieces (row offset, column offset,
+    entries): the differential of each block that has one, and the actions.
+    When every action starts and ends at its blocks' vertices and none is
+    diagonal, as the Box contract demands, the pieces are disjoint and each
+    key is written once; pieces that overlap raise AssertionError, and an
+    invalid output raises AssertionError with verify_mc's witness."""
     bases = list(accumulate([len(b.summands) for b in blocks], initial=0))
     new = tuple.__new__
     summands = tuple([
         new(Summand, (v, q + tq, k + tk))
-        for (_, q, k), block in zip(c.summands, blocks)
+        for (q, k), block in zip(shifts, blocks)
         for v, tq, tk in block.summands
     ])
     pieces = [(base, base, b.delta) for base, b in zip(bases, blocks) if b.delta]
-    pieces += [(bases[j], bases[i], act_element(n, e)) for (j, i), e in c.delta.items()]
+    pieces += [(bases[j], bases[i], entries) for j, i, entries in actions]
     delta = {(row + j, col + i): e for row, col, entries in pieces for (j, i), e in entries.items()}
     if len(delta) < sum([len(entries) for _, _, entries in pieces]):
         raise AssertionError("tensor_T pieces overlap: its input breaks the Box contract")

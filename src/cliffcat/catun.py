@@ -10,15 +10,20 @@ cliffcat.checks sweeps that, the unit laws and the squared-generator shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from . import vertices as vx
-from .bimodule import tensor_T
+from .bimodule import act_element, assemble_T, t_pair, tensor_T
 from .complexes import (
     ProjComplex,
     RAlgebraOps,
     Summand,
+    _lift_entry,
+    _side_entry,
+    check_factors,
     lift_to_box,
     projective,
+    tensor_entries,
     tensor_f2,
 )
 
@@ -55,10 +60,48 @@ def letter_complex(n, letter):
 
 
 def rho(m, nc):
-    """The lifted product of two complexes over the base algebra.  Its
-    inputs are checked by tensor_f2 (LiftError), its output by tensor_T's
-    verify_mc, and a corrected lift by lift_to_box."""
+    """The lifted product of two complexes over the base algebra,
+    tensor_T(lift_to_box(tensor_f2(m, nc))).
+
+    A one-sided step, where one input moves no vertex, skips the tensor
+    square and its lift: _rho_one_sided writes the T blocks straight from
+    the inputs.  Inputs are checked by check_factors (LiftError), the output
+    by assemble_T's verify_mc, and a corrected lift by lift_to_box."""
+    if _one_sided(m, nc):
+        return _rho_one_sided(m, nc)
     return tensor_T(lift_to_box(tensor_f2(m, nc)))
+
+
+def _one_sided(m, nc):
+    """Whether one input has no entry monomial (x, w) with x != w, as when it
+    has no differential: then every monomial of their tensor square has an
+    idempotent factor on the same side."""
+    for c in (m, nc):
+        if all(x == w for e in c.delta.values() for x, w in e):
+            return True
+    return False
+
+
+def _rho_one_sided(m, nc):
+    """rho of a one-sided step, with no RR or Box complex.
+
+    The tensor square's entries lift to X-only (or Y-only) paths, on which
+    the section is multiplicative and d = 0, so the lift's residual is the
+    section of the RR square, zero for valid inputs: the lift needs no
+    square and no correction, and each entry's action goes straight into
+    the T blocks of its summand pairs, in tensor_f2's order."""
+    check_factors(m, nc)
+    n = m.ops.n
+    blocks = [t_pair(n, x, y).complex for x, _, _ in m.summands for y, _, _ in nc.summands]
+    shifts = [(a1 + a2, b1 + b2) for _, a1, b1 in m.summands for _, a2, b2 in nc.summands]
+    return assemble_T(n, blocks, shifts, tensor_entries(m, nc, partial(_side_action, n)))
+
+
+@lru_cache(maxsize=None)
+def _side_action(n, e, v, left):
+    """The action on T blocks of the side entry e (x) 1_v (left) or 1_v (x) e
+    lifted through the section, as lift_to_box lifts it."""
+    return act_element(n, _lift_entry(n, _side_entry(e, v, left)))
 
 
 # ---------------------------------------------------------------------------

@@ -383,37 +383,54 @@ def chain_map_defect(f):
 def tensor_f2(m, nc):
     """Tensor two complexes over R into one over the tensor square.
 
-    The summand P(v_i) (x) P(w_j) sits at i * w + j, w = len(nc.summands).
-    Both inputs are checked by verify_mc (LiftError with its witness): over
-    F2 the tensor product is valid exactly when both factors are, since its
-    entries keep their factors' degrees and (d(x)1 + 1(x)d)^2 = d^2(x)1 +
-    1(x)d^2.  A valid input has no diagonal entry (i, i), so the blocks of
-    d(x)1 and 1(x)d are disjoint and each key is written once."""
-    if not m.ops.tag == nc.ops.tag == "R" or m.ops.n != nc.ops.n:
-        raise AssertionError(f"tensor_f2 needs two complexes over R at one n, got "
-                             f"{m.ops.tag} at n={m.ops.n} and {nc.ops.tag} at n={nc.ops.n}")
-    for c in (m, nc):
-        ok, witness = verify_mc(c)
-        if not ok:
-            raise LiftError(witness)
-    w = len(nc.summands)
+    The summand P(v_i) (x) P(w_j) sits at i * w + j, w = len(nc.summands),
+    and the differential is tensor_entries' with the side entries
+    e (x) 1_v and 1_v (x) e.  Both inputs are checked by check_factors."""
+    check_factors(m, nc)
     new = tuple.__new__
     summands = tuple([
         new(Summand, ((v1, v2), a1 + a2, b1 + b2))
         for v1, a1, b1 in m.summands
         for v2, a2, b2 in nc.summands
     ])
-    delta = {
-        (j * w + j2, i * w + j2): _side_entry(e, sj.vertex, True)
+    delta = {(j, i): e for j, i, e in tensor_entries(m, nc, _side_entry)}
+    return ProjComplex(RRAlgebraOps(m.ops.n), summands, delta)
+
+
+def check_factors(m, nc):
+    """Check the factors of a tensor square: AssertionError unless both are
+    over R at one n, LiftError with verify_mc's witness unless both are
+    valid.  Over F2 the tensor product is valid exactly when both factors
+    are, since its entries keep their factors' degrees and
+    (d(x)1 + 1(x)d)^2 = d^2(x)1 + 1(x)d^2."""
+    if not m.ops.tag == nc.ops.tag == "R" or m.ops.n != nc.ops.n:
+        raise AssertionError(f"a tensor square needs two complexes over R at one n, got "
+                             f"{m.ops.tag} at n={m.ops.n} and {nc.ops.tag} at n={nc.ops.n}")
+    for c in (m, nc):
+        ok, witness = verify_mc(c)
+        if not ok:
+            raise LiftError(witness)
+
+
+def tensor_entries(m, nc, side):
+    """The differential of the tensor product of two checked complexes over
+    R, as (row, col, side(e, v, left)) triples for the entries e (x) 1_v
+    (left) and 1_v (x) e, with tensor_f2's summand order.
+
+    A valid input has no diagonal entry (i, i), so the blocks of d(x)1 and
+    1(x)d are disjoint and each key occurs once."""
+    w = len(nc.summands)
+    out = [
+        (j * w + j2, i * w + j2, side(e, sj.vertex, True))
         for (j, i), e in m.delta.items()
         for j2, sj in enumerate(nc.summands)
-    }
-    delta.update({
-        (i2 * w + j, i2 * w + i): _side_entry(e, si.vertex, False)
+    ]
+    out += [
+        (i2 * w + j, i2 * w + i, side(e, si.vertex, False))
         for (j, i), e in nc.delta.items()
         for i2, si in enumerate(m.summands)
-    })
-    return ProjComplex(RRAlgebraOps(m.ops.n), summands, delta)
+    ]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -431,18 +448,16 @@ def lift_to_box(c):
     tensor_f2 has checked both factors, so the input keeps the degree
     contract and squares to zero over RR.  Entries are lifted through the
     side-generator section, which keeps their endpoints and q-degrees at
-    cohomological degree 0, so the lift keeps the contract.  A one-sided
-    input (every RR monomial has an idempotent factor on the same side, as
-    when a factor of tensor_f2 has no differential) lifts to X-only (or
-    Y-only) paths, on which the section is multiplicative and d = 0, so its
-    residual d(delta) + delta^2 is zero and it is returned as it is.  A
-    two-sided input is squared over RR by delta_square, and its lift's
-    residual is computed; if that is nonzero, each residual entry gets one
-    diagonal-generator correction at its own endpoints and one lower
-    cohomological degree (Box q-degrees are forced by endpoints), which
-    keeps the contract, so only the corrected square is checked.  Raises
-    LiftError if d(delta) + delta^2 != 0 over RR, if some residual entry is
-    not a boundary, or if the corrected square is nonzero.
+    cohomological degree 0, so the lift keeps the contract.  The input is
+    squared over RR by delta_square, and its lift's residual is computed;
+    if that is nonzero, each residual entry gets one diagonal-generator
+    correction at its own endpoints and one lower cohomological degree (Box
+    q-degrees are forced by endpoints), which keeps the contract, so only
+    the corrected square is checked.  Raises LiftError if d(delta) +
+    delta^2 != 0 over RR, if some residual entry is not a boundary, or if
+    the corrected square is nonzero.  catun.rho sends only two-sided steps
+    here (both factors move some vertex); on a one-sided input the residual
+    is zero, and this is the test oracle of rho's direct path.
     """
     if c.ops.tag != "RR":
         raise AssertionError(f"lift_to_box needs a tensor-square complex, got {c.ops.tag}")
@@ -450,8 +465,6 @@ def lift_to_box(c):
     ops = BoxAlgebraOps(n)
     delta = {key: _lift_entry(n, e) for key, e in c.delta.items()}
     out = ProjComplex(ops, c.summands, delta)
-    if _one_sided(c.delta):
-        return out
     square = delta_square(c)
     if square:
         raise LiftError(f"d(delta)+delta^2 nonzero over RR at {min(square)}")
@@ -464,19 +477,6 @@ def lift_to_box(c):
     if square:
         raise LiftError(f"d(delta)+delta^2 nonzero at {min(square)} over Box")
     return out
-
-
-def _one_sided(delta):
-    """Whether every RR monomial of delta has an idempotent factor on the
-    same side: no monomial moves x, or none moves y."""
-    x_moves = y_moves = False
-    for e in delta.values():
-        for (x1, x2), (y1, y2) in e:
-            x_moves = x_moves or x1 != x2
-            y_moves = y_moves or y1 != y2
-        if x_moves and y_moves:
-            return False
-    return True
 
 
 def _correction(ops, key, e):

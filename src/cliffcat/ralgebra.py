@@ -156,8 +156,8 @@ def mult_rr(n, a, b):
 
 def dim_rr(n, src_pair, tgt_pair):
     (x1, y1), (x2, y2) = src_pair, tgt_pair
-    d1 = 0 if basis_mon_r(n, x1, x2) is None else 1
-    d2 = 0 if basis_mon_r(n, y1, y2) is None else 1
+    d1 = 0 if forced_pairs(x1, x2) is None else 1
+    d2 = 0 if forced_pairs(y1, y2) is None else 1
     return d1 * d2
 
 

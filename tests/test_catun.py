@@ -110,7 +110,7 @@ def test_rho_rejects_invalid_input(defect):
 
 def test_rho_checks_contract_twice(monkeypatch):
     # on warm caches one rho step checks the degree contract at two points:
-    # on both R inputs in tensor_f2, and on the output in tensor_T's
+    # on both R inputs in check_factors, and on the output in assemble_T's
     # verify_mc; three calls, never over RR or Box.  This holds one-sided
     # (E, F), two-sided without correction (EF, EF) and two-sided with one
     # correction (EF, FE)
@@ -119,7 +119,7 @@ def test_rho_checks_contract_twice(monkeypatch):
     cu.rho(EF, EF), cu.rho(EF, FE)  # fill the t_pair and per-entry caches
     real_correction, real = cx._correction, cx.contract_violation
     for pair, corrected in (((E, F), 0), ((EF, EF), 0), ((EF, FE), 1)):
-        assert cx._one_sided(cx.tensor_f2(*pair).delta) == (pair == (E, F))
+        assert cu._one_sided(*pair) == (pair == (E, F))
         calls, corrections = [], []
         monkeypatch.setattr(cx, "contract_violation", lambda c: calls.append(c) or real(c))
         monkeypatch.setattr(
@@ -151,7 +151,9 @@ def test_rho_refuses_cancelling_loops():
 
 def test_delta_square_skips_zero_differential(monkeypatch):
     # over R and RR, d = 0 and delta_square is the product alone; the full
-    # formula d(delta) + delta*delta is its oracle, on squares zero and not
+    # formula d(delta) + delta*delta is its oracle, on squares zero and not.
+    # The sweep takes LIFT_WORDS: only their two-sided steps build a tensor
+    # square, and WORDS alone has none
     loop_v, loop_w = _identity_loops()
     (v, _, _), (w, _, _) = loop_v.summands[0], loop_w.summands[0]
     loop_vw = cx.ProjComplex(cx.RRAlgebraOps(2), (cx.Summand((v, w), 0, 0),),
@@ -166,9 +168,10 @@ def test_delta_square_skips_zero_differential(monkeypatch):
 
     monkeypatch.setattr(cu, "tensor_f2", record)
     for n in (1, 2, 3):
-        for w in ck.WORDS:
+        for w in LIFT_WORDS:
             for tree in ck.all_trees(0, len(w)):
                 cu.lift_word(n, cu.Word(w, tree))
+    assert len(complexes) > 3, "no rho step built a tensor square"
     assert {c.ops.tag for c in complexes} == {"R", "RR"}
     assert any(cx.delta_square(c) for c in complexes)
     for c in complexes:
@@ -208,6 +211,7 @@ RHO_MEMOS = [
     (cx, "_side_entry"),
     (cx, "_boundary_preimage"),
     (bm, "act_element"),
+    (cu, "_side_action"),
 ]
 
 
@@ -250,7 +254,7 @@ def test_rho_builds_normalized_complexes(monkeypatch):
     # ProjComplex takes its data as given, so every builder must make it in
     # normal form: a tuple of summands and nonempty frozenset entries
     built = []
-    for name in ("tensor_f2", "lift_to_box", "tensor_T"):
+    for name in ("tensor_f2", "lift_to_box", "tensor_T", "_rho_one_sided"):
         step = getattr(cu, name)
 
         def record(*args, step=step):
@@ -274,17 +278,17 @@ def test_rho_builds_normalized_complexes(monkeypatch):
         assert all(type(e) is frozenset and e for e in c.delta.values())
 
 
-def _lift_inputs(words, ns):
-    """Every lift_to_box input met while lifting words under every tree at
-    each n, as (n, input) in the order met."""
-    real, met = cu.lift_to_box, []
+def _rho_steps(words, ns):
+    """Every rho step met while lifting words under every tree at each n,
+    as (n, m, nc) in the order met."""
+    real, met = cu.rho, []
 
-    def record(c):
-        met.append((c.ops.n, c))
-        return real(c)
+    def record(m, nc):
+        met.append((m.ops.n, m, nc))
+        return real(m, nc)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cu, "lift_to_box", record)
+        mp.setattr(cu, "rho", record)
         for n in ns:
             for w in words:
                 for tree in ck.all_trees(0, len(w)):
@@ -292,41 +296,55 @@ def _lift_inputs(words, ns):
     return met
 
 
-def test_one_sided_lifts_match_corrected_path(monkeypatch):
-    # every E/F word of 2-5 letters under every tree at n = 2..4 meets 6,024
-    # one-sided lift_to_box inputs and 180 two-sided ones.  On each distinct
-    # one-sided input the RR square and the plain section lift's square are
-    # zero, and the output equals that of the corrected path.
+def test_one_sided_lifts_match_corrected_path():
+    # every E/F word of 2-5 letters under every tree at n = 2..4 makes 6,024
+    # one-sided rho steps and 180 two-sided ones.  On each distinct
+    # one-sided step the RR square and the plain section lift's square are
+    # zero, the corrected path adds no correction, and the direct path's
+    # output equals tensor_T(lift_to_box(tensor_f2(m, nc))).
     words = [w for k in range(2, 6) for w in product("EF", repeat=k)]
-    met = _lift_inputs(words, (2, 3, 4))
-    one_sided = [(n, c) for n, c in met if cx._one_sided(c.delta)]
+    met = _rho_steps(words, (2, 3, 4))
+    one_sided = [(n, m, nc) for n, m, nc in met if cu._one_sided(m, nc)]
     assert (len(one_sided), len(met) - len(one_sided)) == (6024, 180)
-    distinct = {(n, c.summands, frozenset(c.delta.items())): c for n, c in one_sided}
-    fast = {key: cx.lift_to_box(c) for key, c in distinct.items()}
-    monkeypatch.setattr(cx, "_one_sided", lambda delta: False)
-    for key, c in distinct.items():
+    distinct = {
+        (n, m.summands, frozenset(m.delta.items()), nc.summands, frozenset(nc.delta.items())):
+        (m, nc)
+        for n, m, nc in one_sided
+    }
+    for key, (m, nc) in distinct.items():
         n = key[0]
-        plain = {k: cx._lift_entry(n, e) for k, e in c.delta.items()}
-        assert not cx.delta_square(cx.ProjComplex(cx.BoxAlgebraOps(n), c.summands, plain))
-        slow = cx.lift_to_box(c)
-        assert fast[key].summands == slow.summands and fast[key].delta == slow.delta
-        assert cx.delta_square(c) == {}
+        square = cx.tensor_f2(m, nc)
+        assert cx.delta_square(square) == {}
+        plain = {k: cx._lift_entry(n, e) for k, e in square.delta.items()}
+        assert not cx.delta_square(cx.ProjComplex(cx.BoxAlgebraOps(n), square.summands, plain))
+        lifted = cx.lift_to_box(square)
+        assert lifted.delta == plain
+        slow = bm.tensor_T(lifted)
+        fast = cu._rho_one_sided(m, nc)
+        assert fast.summands == slow.summands and fast.delta == slow.delta
 
 
 def test_one_sided_step_skips_both_squares(monkeypatch):
-    # a one-sided step multiplies no RR and no Box entries: no _rr_mult and
-    # no mat_then call, so a silent fall back to the corrected path shows;
-    # a two-sided step makes both
+    # on warm caches a one-sided rho step builds no tensor square and no
+    # lift, and multiplies no RR and no Box entries: no tensor_f2,
+    # lift_to_box, _rr_mult or mat_then call, so a silent fall back to the
+    # corrected path shows; a two-sided step makes all four
     n = 3
     EF = cu.lift_word(n, cu.parse_word("EF"))
-    real_then, real_rr, calls = cx.mat_then, cx._rr_mult, []
-    monkeypatch.setattr(cx, "mat_then", lambda *a: calls.append("mat_then") or real_then(*a))
-    monkeypatch.setattr(cx, "_rr_mult", lambda *a: calls.append("_rr_mult") or real_rr(*a))
-    for m, nc in ((EF, cu.make_E(n)), (cu.make_F(n), EF)):
-        cx.lift_to_box(cx.tensor_f2(m, nc))
+    one_sided = [(EF, cu.make_E(n)), (cu.make_F(n), EF)]
+    for pair in one_sided:
+        cu.rho(*pair)  # fill the t_pair and per-entry caches
+    calls = []
+    for mod, name in ((cu, "tensor_f2"), (cu, "lift_to_box"), (cx, "_rr_mult"),
+                      (cx, "mat_then"), (bm, "mat_then")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(
+            mod, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for pair in one_sided:
+        cu.rho(*pair)
     assert EF.delta and calls == []
-    cx.lift_to_box(cx.tensor_f2(EF, EF))
-    assert set(calls) == {"mat_then", "_rr_mult"}
+    cu.rho(EF, EF)
+    assert set(calls) == {"tensor_f2", "lift_to_box", "mat_then", "_rr_mult"}
 
 
 def test_parity_square_names_rr_monomials():
@@ -351,20 +369,15 @@ def test_parity_square_names_rr_monomials():
 
 def test_word_sweep_reaches_corrections(monkeypatch):
     # the catun word sweep lifts the four- and five-letter E/F words, so at
-    # n = 3 it meets 68 two-sided steps and takes 58 corrections (4 and 2 of
-    # them in the four-letter words)
+    # n = 3 it meets 68 two-sided steps, each lifted by lift_to_box, and
+    # takes 58 corrections (4 and 2 of them in the four-letter words)
     real = cx._correction
     corrections = []
     monkeypatch.setattr(cx, "_correction", lambda *a: corrections.append(a) or real(*a))
     real_lift, two_sided = cu.lift_to_box, []
-
-    def lift(c):
-        two_sided.append(not cx._one_sided(c.delta))
-        return real_lift(c)
-
-    monkeypatch.setattr(cu, "lift_to_box", lift)
+    monkeypatch.setattr(cu, "lift_to_box", lambda c: two_sided.append(c) or real_lift(c))
     assert ck.word_lift_failures(3) == ([], 676)
-    assert (sum(two_sided), len(corrections)) == (68, 58)
+    assert (len(two_sided), len(corrections)) == (68, 58)
 
 
 def test_lift_without_correction_is_refused(monkeypatch):
