@@ -4,9 +4,10 @@
 Each row gives n, k, the summands and differential entries of the lifted
 complex, and the wall time of the lift.  Rows run in one process in the
 order printed, so a row reuses the caches (T(x, y), box classes, right
-actions, per-entry maps) that earlier rows filled.  After the rows of each
-n, one line gives the entry count of each memo of the rho pipeline, summed
-over every n so far.
+actions, per-entry maps, sub-lifts) that earlier rows filled.  After the
+rows of each n, one line gives the entry count of each memo of the rho
+pipeline, summed over every n so far, and the summands and entries held by
+lift_word's sub-lift memo.
 
 Usage: PYTHONPATH=src python scripts/lift_ladder.py
 """
@@ -48,7 +49,11 @@ def main():
             secs = time.perf_counter() - t0
             print(f"{n:>2} {k:>2} {len(c.summands):>9} {len(c.delta):>9} {secs:>8.3f}")
         sizes = ", ".join(f"{name} {_size(memo)}" for name, memo in MEMOS.items())
-        print(f"   memo entries: {sizes}")
+        lifts = cu._SUBLIFTS.lifts.values()
+        summands = sum(len(c.summands) for c in lifts)
+        entries = sum(len(c.delta) for c in lifts)
+        print(f"   memo entries: {sizes}, "
+              f"sub_lift {len(lifts)} ({summands} summands, {entries} entries)")
     return 0
 
 

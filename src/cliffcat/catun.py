@@ -9,6 +9,7 @@ cliffcat.checks sweeps that, the unit laws and the squared-generator shape.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -185,20 +186,79 @@ def parse_word(text, assoc=None):
     return Word(letters, tree)
 
 
+# Bounded: a sweep of many trees over one word set meets each proper sub-lift
+# many times (a lift-n4 round makes 10,752 steps below its roots and 548
+# distinct sub-lifts, holding about 36k summands and 24k entries), while long
+# sweeps at large n keep meeting new ones.  The memo holds at most this many
+# summands plus entries, plus one per sub-lift so that empty ones count too.
+_SUBLIFT_CAP = 1 << 18
+
+
+def _held(c):
+    return len(c.summands) + len(c.delta) + 1
+
+
+class _SubLifts:
+    """The proper sub-lifts of lift_word by node key, oldest first.
+
+    A node key is an int hash-consed in keys: a leaf interns (n, letter) and
+    an inner node (left key, right key), so equal sub-words share a key
+    wherever they sit in a word and a key costs O(1) per node.  held counts
+    what the stored lifts hold, as _SUBLIFT_CAP does; store evicts the
+    oldest lifts to stay within the cap and never stores a larger one."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.keys, self.lifts, self.held = {}, OrderedDict(), 0
+
+    def key(self, node):
+        return self.keys.setdefault(node, len(self.keys))
+
+    def store(self, key, c):
+        size = _held(c)
+        if size > _SUBLIFT_CAP:
+            return
+        while self.held + size > _SUBLIFT_CAP:
+            self.held -= _held(self.lifts.popitem(last=False)[1])
+        self.lifts[key] = c
+        self.held += size
+
+
+_SUBLIFTS = _SubLifts()
+
+
 def lift_word(n, word):
     """Fold rho over the association tree (default: left fold), in post-order
-    on an explicit stack, so any tree depth folds."""
+    on an explicit stack, so any tree depth folds.
+
+    Each proper sub-lift is looked up in _SUBLIFTS by its node key and
+    stored there on a miss, so a sweep over many trees lifts each sub-word
+    once; a step that raises stores nothing.  The root is always computed
+    and never stored, so the caller owns the complex it gets back."""
     tree = word.association
     if tree is None:
         tree = left_fold_tree(len(word.letters))
-    todo, done = [tree], []
+    memo = _SUBLIFTS
+    if len(memo.keys) > _SUBLIFT_CAP:  # keys outlive evicted lifts
+        memo.clear()
+    todo, done = [tree], []  # done holds (node key, lift)
     while todo:
         t = todo.pop()
         if t is None:  # both children of a node are lifted
-            right = done.pop()
-            done.append(rho(done.pop(), right))
+            (rkey, right), (lkey, left) = done.pop(), done.pop()
+            if not todo:  # the root's marker is the last one popped
+                return rho(left, right)
+            key = memo.key((lkey, rkey))
+            c = memo.lifts.get(key)
+            if c is None:
+                c = rho(left, right)
+                memo.store(key, c)
+            done.append((key, c))
         elif isinstance(t, int):
-            done.append(letter_complex(n, word.letters[t]))
+            letter = word.letters[t]
+            done.append((memo.key((n, letter)), letter_complex(n, letter)))
         else:
             todo += (None, t[1], t[0])
-    return done[0]
+    return done[0][1]

@@ -201,6 +201,67 @@ def test_lift_json_digest_pinned():
     assert h.hexdigest() == LIFT_DIGEST_N3
 
 
+def _lift_json(n, w, tree):
+    return json.dumps(cx.complex_to_json(cu.lift_word(n, cu.Word(w, tree))), sort_keys=True)
+
+
+def test_sublift_memo_matches_bypassed_lifts(monkeypatch):
+    # LIFT_WORDS under every tree at n = 1..3: lifts that fill the sub-lift
+    # memo, and then lifts that read it full, give the JSON of lifts that
+    # bypass it, and no lift returns a complex the memo holds.  With a tiny
+    # cap the memo evicts, never holds more than the cap, and the lifts stay
+    # the same
+    memo = cu._SUBLIFTS
+    cases = [(n, w, tree) for n in (1, 2, 3) for w in LIFT_WORDS for tree in ck.all_trees(0, len(w))]
+    with monkeypatch.context() as mp:
+        mp.setattr(cu, "_SUBLIFT_CAP", 0)
+        bypassed = [_lift_json(*case) for case in cases]
+    assert not memo.lifts
+    for _ in ("fill", "full"):
+        for case, want in zip(cases, bypassed):
+            out = cu.lift_word(case[0], cu.Word(*case[1:]))
+            assert all(out is not c for c in memo.lifts.values()), case
+            assert json.dumps(cx.complex_to_json(out), sort_keys=True) == want, case
+    full = memo.held
+    assert full == sum(map(cu._held, memo.lifts.values()))
+    cap = full // 8
+    monkeypatch.setattr(cu, "_SUBLIFT_CAP", cap)
+    memo.clear()
+    for case, want in zip(cases, bypassed):
+        assert _lift_json(*case) == want, case
+        assert memo.held == sum(map(cu._held, memo.lifts.values())) <= cap, case
+    assert memo.lifts
+
+
+def test_failed_step_stores_no_sublift(monkeypatch):
+    # at n = 3 EFFE under ((0, 1), (2, 3)) takes a correction, so with none
+    # the lift of EFFEE under (((0, 1), (2, 3)), 4) raises at that sub-lift:
+    # the memo then holds EF and FE below it and nothing else, and once the
+    # correction is back the lift equals a fresh one
+    word = cu.Word(tuple("EFFEE"), (((0, 1), (2, 3)), 4))
+    with monkeypatch.context() as mp:
+        mp.setattr(cx, "_correction", lambda ops, key, e: frozenset())
+        with pytest.raises(cx.LiftError):
+            cu.lift_word(3, word)
+    memo = cu._SUBLIFTS
+    e, f = memo.keys[(3, "E")], memo.keys[(3, "F")]
+    assert set(memo.lifts) == {memo.keys[(e, f)], memo.keys[(f, e)]}
+    got = _lift_json(3, word.letters, word.association)
+    memo.clear()
+    assert got == _lift_json(3, word.letters, word.association)
+
+
+def test_long_word_adds_one_key_per_node(monkeypatch):
+    # the left fold of 2,000 letters E: the leaves share one key and each
+    # inner node below the root adds one.  Keys outlive evicted sub-lifts,
+    # so once they pass the cap the next lift starts from none
+    cu.lift_word(1, cu.Word(("E",) * 2000))
+    assert len(cu._SUBLIFTS.keys) == 1999
+    monkeypatch.setattr(cu, "_SUBLIFT_CAP", 1000)
+    cu.lift_word(1, cu.Word(("E", "E", "E")))
+    assert len(cu._SUBLIFTS.keys) == 2
+
+
 # every memo that a rho step passes its entries through, besides the
 # entry degrees (cx._DEGREES, one dict per algebra tag and n)
 RHO_MEMOS = [
@@ -296,7 +357,7 @@ def _rho_steps(words, ns):
     return met
 
 
-def test_one_sided_lifts_match_corrected_path():
+def test_one_sided_lifts_match_corrected_path(no_sublift_memo):
     # every E/F word of 2-5 letters under every tree at n = 2..4 makes 6,024
     # one-sided rho steps and 180 two-sided ones.  On each distinct
     # one-sided step the RR square and the plain section lift's square are
@@ -367,7 +428,7 @@ def test_parity_square_names_rr_monomials():
         assert str(err.value) == witness
 
 
-def test_word_sweep_reaches_corrections(monkeypatch):
+def test_word_sweep_reaches_corrections(monkeypatch, no_sublift_memo):
     # the catun word sweep lifts the four- and five-letter E/F words, so at
     # n = 3 it meets 68 two-sided steps, each lifted by lift_to_box, and
     # takes 58 corrections (4 and 2 of them in the four-letter words)
@@ -393,7 +454,7 @@ def test_lift_without_correction_is_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_one_correction_pass_lifts_five_letter_words(monkeypatch, n):
+def test_one_correction_pass_lifts_five_letter_words(monkeypatch, no_sublift_memo, n):
     # every five-letter E/F word under every tree: 40 lift_to_box calls take
     # a correction, and every lift is valid after its one pass
     real_correction, real_lift = cx._correction, cu.lift_to_box
