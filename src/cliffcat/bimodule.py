@@ -6,12 +6,13 @@ of the adjacent-pair indices with |A| = k - mu; the differential resolves one
 more pair at a time.  A subset is an int bitmask over the pair indices 1..p,
 bit i the i-th highest pair, as in kzero.  The right action of the thickened
 tensor-square algebra is defined generator by generator through an index map
-on subsets (shift the indices above a cut, perhaps add one) and a factor in
-the base algebra (a pair-insertion generator or an idempotent), both read
-off the memberships of the inserted pair's two neighbors.  A boxed element
-acts by the entries of the fold of its generators' maps, which is all
-tensor_T reads.  The left action is componentwise left multiplication.  The
-bimodule axioms are swept by cliffcat.checks.bimodule_failures.
+on subsets (shift the indices above a cut, perhaps add one), read off the
+memberships of the inserted pair's two neighbors; each entry's factor is the
+basis monomial of R between the two summands it joins, since every Hom-space
+of R is at most one-dimensional.  A boxed element acts by the entries of the
+fold of its generators' maps, which is all tensor_T reads.  The left action
+is componentwise left multiplication.  The bimodule axioms are swept by
+cliffcat.checks.bimodule_failures.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .complexes import (
     mat_then,
     verify_mc,
 )
-from .quiver import DIAG, XSIDE, YSIDE, apply_arrow, pair_mask
+from .quiver import DIAG, XSIDE, YSIDE, apply_arrow
 
 
 class TPair(NamedTuple):
@@ -74,15 +75,14 @@ def t_pair(n, x, y):
 
 
 def _case_data(n, xy, kind, t):
-    """(target pair, a_t, step, added, uses_generator, slice shift) of one
-    generator: it maps the summand of A to that of A with every index above
-    a_t raised by step, plus the indices in the mask added.  Raises
-    AssertionError if t is out of range at n or the arrow does not apply at xy.
+    """(target pair, a_t, step, added, slice shift) of one generator: it maps
+    the summand of A to that of A with every index above a_t raised by step,
+    plus the indices in the mask added.  Raises AssertionError if t is out of
+    range at n or the arrow does not apply at xy.
 
     Y side (lower: t-1 in x, upper: t in x): it adds a_t + step iff lower is
-    set and uses the generator iff upper is unset.  X side (lower: t+1 in y,
-    upper: t+2 in y): it adds a_t + 1 iff upper is set and uses the
-    generator iff lower is unset.  On both, step = lower + upper."""
+    set.  X side (lower: t+1 in y, upper: t+2 in y): it adds a_t + 1 iff
+    upper is set.  On both, step = lower + upper."""
     if not 0 <= t < n - (kind == DIAG):
         raise AssertionError(f"no arrow {kind}{t} at n={n}")
     target = apply_arrow(xy, kind, t)
@@ -91,21 +91,19 @@ def _case_data(n, xy, kind, t):
     x, y = xy
     a_t = (kz.pair_data(x, y).lows >> (t + 1)).bit_count()  # pairs above t
     if kind == DIAG:
-        return target, a_t, 2, 0, False, -1
+        return target, a_t, 2, 0, -1
     if kind == YSIDE:
         lower, upper = t >= 1 and bool(x >> (t - 1) & 1), bool(x >> t & 1)
-        step = lower + upper
-        added = 1 << (a_t + step) if lower else 0
-        return target, a_t, step, added, not upper, 0
-    lower, upper = bool(y >> (t + 1) & 1), bool(y >> (t + 2) & 1)
-    step = lower + upper
-    added = 1 << (a_t + 1) if upper else 0
-    return target, a_t, step, added, not lower, 0
+        added = 1 << (a_t + lower + upper) if lower else 0
+    else:
+        lower, upper = bool(y >> (t + 1) & 1), bool(y >> (t + 2) & 1)
+        added = 1 << (a_t + 1) if upper else 0
+    return target, a_t, lower + upper, added, 0
 
 
 def right_act_chainmap(n, xy, kind, t):
     """The chain map T(x,y) -> T(x',y') of one boxed-quiver generator."""
-    tgt_pair, a_t, step, added, uses_gen, dslice = _case_data(n, xy, kind, t)
+    tgt_pair, a_t, step, added, dslice = _case_data(n, xy, kind, t)
     src = t_pair(n, *xy)
     tgt = t_pair(n, *tgt_pair)
     kept = (2 << a_t) - 1  # the indices up to a_t
@@ -117,15 +115,10 @@ def right_act_chainmap(n, xy, kind, t):
         (mon, _, k), (mon_t, _, kt) = src.complex.summands[i], tgt.complex.summands[j]
         if kt != k + dslice:
             raise AssertionError(f"{kind}{t} moves slice {k} to {kt}, not by {dslice}")
-        if uses_gen:
-            if mon & pair_mask(t):
-                continue
-            want = mon | pair_mask(t)
-        else:
-            want = mon
-        if mon_t != want:
-            continue
-        entries[(j, i)] = frozenset([ra.basis_mon_r(n, mon, mon_t)])
+        entry = ra.basis_mon_r(n, mon, mon_t)
+        if entry is None:
+            raise AssertionError(f"{kind}{t} has no R monomial {vx.fmt(mon)} -> {vx.fmt(mon_t)}")
+        entries[(j, i)] = frozenset([entry])
     return ChainMap(src.complex, tgt.complex, entries)
 
 

@@ -175,11 +175,16 @@ def parse_association(text):
 
 
 def parse_word(text, assoc=None):
-    """Parse a word like 'EFE' or 'q E q-1' into a Word."""
+    """Parse a word like 'EFE', 'q E q-1' or 'q-1' into a Word.
+
+    Text with whitespace splits there; text without it is one letter if it
+    names one ('q-1', 'Qinv', 'One'), else one letter per character."""
     aliases = {"E": "E", "F": "F", "1": "One", "q": "Q", "q-1": "Qinv"}
-    parts = text.split() if any(c.isspace() for c in text) else list(text)
-    if parts and any(p not in aliases and p not in LETTERS for p in parts):
-        # allow compact 'qEq-1' style only via whitespace; else letter-by-letter
+    if any(c.isspace() for c in text):
+        parts = text.split()
+    else:
+        parts = [text] if text in aliases or text in LETTERS else list(text)
+    if any(p not in aliases and p not in LETTERS for p in parts):
         raise ValueError(f"cannot parse word {text!r}")
     letters = tuple(aliases.get(p, p) for p in parts)
     tree = parse_association(assoc) if assoc else None

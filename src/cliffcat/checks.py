@@ -265,6 +265,32 @@ def clifford_failures(n):
     return failures, checks
 
 
+def uq_relation_failures(n):
+    """The relations of U_q(sl(1|1)) on the kzero.iota classes of two-letter
+    words: EE = FF = 0, EF + FE = [n] [P([])] with the quantum integer
+    [n] = q^{1-n} + q^{3-n} + ... + q^{n-1}, QE = EQ, QF = FQ and
+    Q Qinv = 1."""
+
+    def cls(a, b):
+        return kz.iota(n, (a, b), (0, 1))
+
+    quantum_n = kz.kclass(0, LaurentZ({e: 1 for e in range(1 - n, n, 2)}))
+    relations = [
+        ("EE = 0", cls("E", "E"), {}),
+        ("FF = 0", cls("F", "F"), {}),
+        ("EF + FE = [n]", kz.kclass_add(cls("E", "F"), cls("F", "E")), quantum_n),
+        ("QE = EQ", cls("Q", "E"), cls("E", "Q")),
+        ("QF = FQ", cls("Q", "F"), cls("F", "Q")),
+        ("Q Qinv = 1", cls("Q", "Qinv"), kz.kclass(0)),
+    ]
+    failures = [
+        f"n={n}: {name}: {kz.fmt_kclass(got)} != {kz.fmt_kclass(want)}"
+        for name, got, want in relations
+        if got != want
+    ]
+    return failures, len(relations)
+
+
 def associativity_failures(n):
     """m(m(a, b), c) == m(a, m(b, c)) for the specialized product on every
     vertex triple."""

@@ -29,11 +29,11 @@ SUITES = {
     "quiver": (6, [ck.quiver_failures]),
     "algebra": (4, [ck.oracle_failures]),
     "box": (4, [ck.box_dg_failures, ck.box_formality_failures]),
-    "clifford": (6, [ck.clifford_failures]),
+    "clifford": (6, [ck.clifford_failures, ck.uq_relation_failures]),
     "kzero": (5, [ck.local_lemma_failures, ck.single_letter_failures,
                   ck.associativity_failures]),
     "bimodule": (6, [ck.bimodule_failures, ck.t_pair_k0_failures]),
-    "catun": (5, [ck.ee_shape_failures, ck.letter_failures, ck.word_lift_failures]),
+    "catun": (6, [ck.ee_shape_failures, ck.letter_failures, ck.word_lift_failures]),
 }
 
 

@@ -92,9 +92,9 @@ def higher_mult_kh(n, a, b):
 
 
 def mult_mono(n, x, y):
-    """Specialized product of two vertices, as {vertex: LaurentZ}."""
-    out = {v: c.specialize_h() for v, c in higher_mult(n, x, y).items()}
-    return {v: c for v, c in out.items() if c}
+    """Specialized product of two vertices, as {vertex: LaurentZ}.  Each
+    term q^eta h^k of higher_mult becomes (-1)^k q^eta, never zero."""
+    return {v: c.specialize_h() for v, c in higher_mult(n, x, y).items()}
 
 
 def mult(n, a, b):
@@ -132,14 +132,10 @@ def iota_letter(n, letter):
     raise ValueError(f"unknown letter {letter!r}")
 
 
-def iota(n, letters, tree=None):
+def iota(n, letters, tree):
     """Image of a word over {One, Q, Qinv, E, F}, folded over an association
-    tree of leaf indices, or left to right when no tree is given."""
-    if tree is None:
-        acc = kclass(0)
-        for letter in letters:
-            acc = mult(n, acc, iota_letter(n, letter))
-        return acc
+    tree of leaf indices, as a word lift folds rho over it (for the left
+    fold, pass catun.left_fold_tree(len(letters)))."""
     if isinstance(tree, int):
         return iota_letter(n, letters[tree])
     left, right = tree

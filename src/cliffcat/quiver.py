@@ -45,9 +45,10 @@ def build_gamma(n):
     return Quiver(n, verts, {v: arrow_targets(n, v) for v in verts})
 
 
-def components(q):
-    """Partition vertices by undirected connectivity; sorted deterministic."""
-    parent = {v: v for v in q.vertices}
+def classes(items, links):
+    """The classes of items under the equivalence that links (pairs of
+    items) generate, each in the order of items, by union-find."""
+    parent = {v: v for v in items}
 
     def find(v):
         while parent[v] != v:
@@ -55,13 +56,18 @@ def components(q):
             v = parent[v]
         return v
 
-    for v, arrs in q.out_arrows.items():
-        for _, w in arrs:
-            parent[find(v)] = find(w)
+    for v, w in links:
+        parent[find(v)] = find(w)
     groups = {}
-    for v in q.vertices:
+    for v in parent:
         groups.setdefault(find(v), []).append(v)
-    return sorted(sorted(g) for g in groups.values())
+    return list(groups.values())
+
+
+def components(q):
+    """Partition vertices by undirected connectivity; sorted deterministic."""
+    links = [(v, w) for v, arrs in q.out_arrows.items() for _, w in arrs]
+    return sorted(sorted(g) for g in classes(q.vertices, links))
 
 
 def apply_arrow(xy, kind, s):

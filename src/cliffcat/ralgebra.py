@@ -118,24 +118,9 @@ def oracle_dim_r(n, x, w):
     if n > ORACLE_BOUND:
         raise ValueError(f"oracle bound {ORACLE_BOUND} exceeded for n={n}")
     paths = _paths(n, x, w)
-    if not paths:
-        return 0
-    index = {p: i for i, p in enumerate(paths)}
-    parent = list(range(len(paths)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for p, i in index.items():
-        for k in range(len(p) - 1):
-            swapped = p[:k] + (p[k + 1], p[k]) + p[k + 2 :]
-            j = index.get(swapped)
-            if j is not None:
-                parent[find(i)] = find(j)
-    return len({find(i) for i in range(len(paths))})
+    # the pairs of two adjacent insertions are disjoint, so their swap is a path
+    swaps = [(p, p[:k] + (p[k + 1], p[k]) + p[k + 2 :]) for p in paths for k in range(len(p) - 1)]
+    return len(qv.classes(paths, swaps))
 
 
 # ---------------------------------------------------------------------------

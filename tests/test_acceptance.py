@@ -116,3 +116,12 @@ def test_criterion_11_oracle_equivalence():
     for n in (1, 2, 3, 4):
         failures += ck.oracle_failures(n)[0]
     report(11, "normal form agrees with the path-engine oracle", failures, t0)
+
+
+def test_criterion_12_uq_relations_in_k0():
+    t0 = time.time()
+    failures = []
+    for n in range(1, 7):
+        failures += ck.uq_relation_failures(n)[0]
+    report(12, "K0 classes of the letters satisfy the U_q(sl(1|1)) relations, n=1..6",
+           failures, t0)

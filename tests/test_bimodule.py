@@ -52,7 +52,9 @@ def test_act_element_matches_chainmap_fold(n):
 
 
 # the parent's eight-way split of _case_data, one row per (kind, lower,
-# upper): (step, added index - a_t or None, uses the generator)
+# upper): (step, added index - a_t or None, uses the generator); the last
+# column is the set formula's generator rule, which the action reads off
+# its endpoints instead
 CASES = {
     (YSIDE, False, False): (0, None, True),
     (YSIDE, False, True): (1, None, False),
@@ -65,6 +67,14 @@ CASES = {
 }
 
 
+def _neighbors(xy, kind, t):
+    """(lower, upper): the memberships of the inserted pair's two neighbors."""
+    x, y = xy
+    if kind == YSIDE:
+        return t >= 1 and bool(x >> (t - 1) & 1), bool(x >> t & 1)
+    return bool(y >> (t + 1) & 1), bool(y >> (t + 2) & 1)
+
+
 def test_case_data_matches_eight_way_table():
     # every side generator out of every vertex pair at n <= 4 meets its row
     # of the table, and every row is met
@@ -75,24 +85,23 @@ def test_case_data_matches_eight_way_table():
                 for kind, t in ck._generators_out(n, (x, y)):
                     if kind == DIAG:
                         continue
-                    if kind == YSIDE:
-                        lower, upper = t >= 1 and bool(x >> (t - 1) & 1), bool(x >> t & 1)
-                    else:
-                        lower, upper = bool(y >> (t + 1) & 1), bool(y >> (t + 2) & 1)
-                    _, a_t, step, added, uses_gen, dslice = bm._case_data(n, (x, y), kind, t)
+                    row = (kind, *_neighbors((x, y), kind, t))
+                    _, a_t, step, added, dslice = bm._case_data(n, (x, y), kind, t)
                     offsets = [a - a_t for a in vx.seq(added)]  # added is a mask
-                    got = (step, offsets[0] if offsets else None, uses_gen)
+                    got = (step, offsets[0] if offsets else None)
                     assert len(offsets) <= 1 and dslice == 0
-                    assert got == CASES[(kind, lower, upper)], (n, x, y, kind, t)
-                    seen.add((kind, lower, upper))
+                    assert got == CASES[row][:2], (n, x, y, kind, t)
+                    seen.add(row)
     assert seen == set(CASES)
 
 
 def _set_formula_action(n, xy, kind, t):
     """right_act_chainmap's entries by the set formula that the mask map
     replaced: subsets as frozensets of pair indices, decoded from the masks
-    here, mapped by a -> a + step above a_t, plus added."""
-    tgt_pair, a_t, step, added, uses_gen, dslice = bm._case_data(n, xy, kind, t)
+    here, mapped by a -> a + step above a_t, plus added; the factor is the
+    generator or the idempotent as CASES says (the idempotent for D)."""
+    tgt_pair, a_t, step, added, dslice = bm._case_data(n, xy, kind, t)
+    uses_gen = kind != DIAG and CASES[(kind, *_neighbors(xy, kind, t))][2]
     assert a_t == sum(1 for s in vx.seq(kz.pair_data(*xy).lows) if s > t)
     added = frozenset(vx.seq(added))
     src, tgt = bm.t_pair(n, *xy), bm.t_pair(n, *tgt_pair)

@@ -511,6 +511,11 @@ def test_association_parsing():
         cu.parse_association("((..)")
     with pytest.raises(ValueError):
         cu.parse_association("(..))")
+    for text in ("..", "(..)."):
+        with pytest.raises(ValueError, match="trailing characters"):
+            cu.parse_association(text)
+    with pytest.raises(ValueError, match="unbalanced"):  # a third subtree
+        cu.parse_association("(...)")
 
 
 def test_word_validation():
@@ -521,6 +526,11 @@ def test_word_validation():
     w = cu.parse_word("q E q-1")
     assert w.letters == ("Q", "E", "Qinv")
     assert cu.parse_word("EFE").letters == ("E", "F", "E")
+    # whitespace-free text that names one letter is that letter
+    for text, letter in (("q-1", "Qinv"), ("Qinv", "Qinv"), ("One", "One")):
+        assert cu.parse_word(text).letters == (letter,)
+    with pytest.raises(ValueError, match="cannot parse word"):
+        cu.parse_word("q-")
 
 
 def test_shift_letters():
@@ -528,7 +538,7 @@ def test_shift_letters():
     c = cu.lift_word(n, cu.parse_word("q q-1"))
     assert [(s.vertex, s.qshift, s.cohshift) for s in c.summands] == [(0, 0, 0)]
     cq = cu.lift_word(n, cu.Word(("Q", "E")))
-    assert cx.k0_class(cq) == kz.iota(n, ("Q", "E"))
+    assert cx.k0_class(cq) == kz.iota(n, ("Q", "E"), (0, 1))
 
 
 def test_ee_shape():

@@ -110,6 +110,12 @@ def test_lift_assoc(capsys):
     assert code == 0
 
 
+def test_lift_one_token_word(capsys):
+    # a one-token word is one letter, not one letter per character
+    code, out = run(capsys, "lift", "--n", "2", "--word", "q-1")
+    assert (code, out) == (0, "P([]){-1} at position 0\ndelta entries: 0\nk0 = q^-1*[]\n")
+
+
 def test_verify_clifford(capsys):
     code, out = run(capsys, "verify", "--n", "3", "--suite", "clifford")
     assert code == 0
@@ -131,7 +137,7 @@ def test_verify_all_counts(capsys):
     reports = json.loads(out)
     assert all(r["failures"] == [] for r in reports)
     assert {r["suite"]: r["checks"] for r in reports} == {
-        "quiver": 18, "algebra": 300, "box": 68585, "clifford": 1266,
+        "quiver": 18, "algebra": 300, "box": 68585, "clifford": 1272,
         "kzero": 4126, "bimodule": 1392, "catun": 684,
     }
 
@@ -169,7 +175,7 @@ def test_verify_caps_n(capsys):
     # bound capping keeps oversized n runnable; --bound-override lifts the cap
     code, out = run(capsys, "verify", "--n", "9", "--suite", "catun")
     assert code == 0
-    assert "n=5" in out
+    assert "n=6" in out
     code, out = run(capsys, "verify", "--n", "9", "--suite", "quiver")
     assert code == 0
     assert "n=6" in out
@@ -187,6 +193,17 @@ def test_usage_errors(capsys):
     assert cli.main(["algebra", "--n", "2", "--source", "[]"]) == 2
     assert cli.main(["algebra", "--n", "2", "--target", "[1,0]"]) == 2
     assert capsys.readouterr().out == ""
+    # parse errors of an association or a vertex: one stderr line each
+    for argv, message in (
+        (["lift", "--n", "2", "--word", "EF", "--assoc", ".."], "trailing characters"),
+        (["lift", "--n", "2", "--word", "EF", "--assoc", "(..)."], "trailing characters"),
+        (["lift", "--n", "2", "--word", "EFE", "--assoc", "(...)"], "unbalanced"),
+        (["multiply", "--n", "3", "--x", "[1,1]", "--y", "[0]"], "repeated element 1"),
+    ):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        assert message in err, argv
     # an n above MAX_N is refused before any enumeration: one stderr line
     for n in (vx.MAX_N + 1, 40, 99999999999999999999):
         assert cli.main(["quiver", "--n", str(n)]) == 2

@@ -307,11 +307,21 @@ def test_iota_relations():
         assert anti == {0: want}
 
 
+def test_uq_relation_failures_name_the_relation(monkeypatch):
+    # every relation holds, and a wrong letter class is reported by relation
+    assert ck.uq_relation_failures(3) == ([], 6)
+    real = kz.iota_letter
+    monkeypatch.setattr(kz, "iota_letter", lambda n, l: real(n, "One" if l == "F" else l))
+    failures, _ = ck.uq_relation_failures(3)
+    assert [f.split(":")[1].strip() for f in failures] == ["FF = 0", "EF + FE = [n]"]
+
+
 def test_iota_word_fold():
     n = 2
-    ef = kz.iota(n, ("E", "F"))
+    ef = kz.iota(n, ("E", "F"), (0, 1))
     assert ef == kz.mult(n, kz.iota_letter(n, "E"), kz.iota_letter(n, "F"))
-    assert kz.iota(n, ("Q", "Qinv")) == kz.kclass(0)
+    assert kz.iota(n, ("Q", "Qinv"), (0, 1)) == kz.kclass(0)
+    assert kz.iota(n, ("E",), 0) == kz.iota_letter(n, "E")
     # the aliases of catun.parse_word are not letters
     for alias in ("1", "q", "q-1"):
         with pytest.raises(ValueError, match="unknown letter"):
