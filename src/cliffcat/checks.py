@@ -316,10 +316,6 @@ def t_pair_k0_failures(n):
     return failures, checks
 
 
-def _generators_out(n, xy):
-    return [(kind, s) for kind, s, _ in qv.box_arrow_targets(n, xy)]
-
-
 def _check_pair(n, xy, failures, act):
     """Every generator out of (x, y) acts by a chain map of its degree that
     satisfies Leibniz; identified length-2 paths act identically.  T(x, y)
@@ -327,7 +323,7 @@ def _check_pair(n, xy, failures, act):
     kind, t) gives a generator's chain map (bm.right_act_chainmap or a memo
     of it).  Returns the number of checks."""
     checks = 0
-    for kind, t in _generators_out(n, xy):
+    for kind, t, _ in qv.box_arrow_targets(n, xy):
         chain = act(n, xy, kind, t)
         deg = (qv.arrow_qdeg(n, kind, t), qv.arrow_cohdeg(kind))
         witness = cx.map_violation(chain.source, chain.target, chain.entries, deg)
@@ -336,9 +332,8 @@ def _check_pair(n, xy, failures, act):
         if bm.leibniz_defect(n, xy, kind, t, act).entries:
             failures.append(f"{vx.fmt_pair(xy)} {kind}{t}: Leibniz fails")
         checks += 2
-    for k1, s1 in _generators_out(n, xy):
-        mid = bx.apply_arrow(xy, k1, s1)
-        for k2, s2 in _generators_out(n, mid):
+    for k1, s1, mid in qv.box_arrow_targets(n, xy):
+        for k2, s2, _ in qv.box_arrow_targets(n, mid):
             if bx.canonical(((k1, s1), (k2, s2))) != bx.canonical(((k2, s2), (k1, s1))):
                 continue
             checks += 1

@@ -26,8 +26,8 @@ from . import vertices as vx
 # each suite's default n cap, tuned so `verify --suite all` stays at desk
 # scale, and its sweeps from cliffcat.checks
 SUITES = {
-    "quiver": (6, [ck.quiver_failures]),
-    "algebra": (4, [ck.oracle_failures]),
+    "quiver": (vx.MAX_N, [ck.quiver_failures]),
+    "algebra": (6, [ck.oracle_failures]),
     "box": (4, [ck.box_dg_failures, ck.box_formality_failures]),
     "clifford": (6, [ck.clifford_failures, ck.uq_relation_failures]),
     "kzero": (5, [ck.local_lemma_failures, ck.single_letter_failures,
@@ -210,8 +210,7 @@ def cmd_export_all(args):
     def dump(name, data):
         path = os.path.join(args.out, name)
         with open(path, "w") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            _emit(data, fh)
         print("wrote", path)
 
     dump(f"quiver_n{n}.json", qv.quiver_json(qv.build_gamma(n)))
@@ -243,9 +242,11 @@ def cmd_export_all(args):
     return 0
 
 
-def _emit(data):
-    json.dump(data, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+def _emit(data, fh=None):
+    """Write data as stable JSON to fh (stdout by default)."""
+    fh = fh or sys.stdout
+    json.dump(data, fh, indent=1, sort_keys=True)
+    fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

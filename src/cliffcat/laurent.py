@@ -34,8 +34,6 @@ class LaurentZ:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = type(self)({self.unit_exp: other})
         return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __add__(self, other):
@@ -44,15 +42,7 @@ class LaurentZ:
             out[e] = out.get(e, 0) + c
         return type(self)(out)
 
-    def __neg__(self):
-        return type(self)({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = type(self)({self.unit_exp: other})
         add = self.add_exps
         out = {}
         for e1, c1 in self.coeffs.items():
@@ -60,8 +50,6 @@ class LaurentZ:
                 e = add(e1, e2)
                 out[e] = out.get(e, 0) + c1 * c2
         return type(self)(out)
-
-    __rmul__ = __mul__
 
     def items(self):
         return sorted(self.coeffs.items())
@@ -73,7 +61,7 @@ class LaurentZ:
         return f"{type(self).__name__}({dict(self.items())})"
 
     def __str__(self):
-        return format_laurent(self.items(), self.names)
+        return format_sum([(exps, coeff, None) for exps, coeff in self.items()], self.names)
 
 
 class LaurentZH(LaurentZ):
@@ -102,11 +90,6 @@ class LaurentZH(LaurentZ):
 def _exponents(e):
     """The exponents of a key as a tuple: (e,) for an int, e for a tuple."""
     return e if isinstance(e, tuple) else (e,)
-
-
-def format_laurent(items, names):
-    """Render sorted (exponents, coeff) pairs as e.g. '-q^2*h + 3'."""
-    return format_sum([(exps, coeff, None) for exps, coeff in items], names)
 
 
 def format_sum(terms, names):

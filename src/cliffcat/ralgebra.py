@@ -96,8 +96,6 @@ def mult_r(n, a, b):
 # ---------------------------------------------------------------------------
 # path-engine oracle
 
-ORACLE_BOUND = 5
-
 
 def _paths(n, x, w):
     """All directed paths x -> w as tuples of pair-lows, in insertion order."""
@@ -115,8 +113,6 @@ def _paths(n, x, w):
 @lru_cache(maxsize=None)
 def oracle_dim_r(n, x, w):
     """dim e(x)*R*e(w) by enumerating paths modulo adjacent-swap relations."""
-    if n > ORACLE_BOUND:
-        raise ValueError(f"oracle bound {ORACLE_BOUND} exceeded for n={n}")
     paths = _paths(n, x, w)
     # the pairs of two adjacent insertions are disjoint, so their swap is a path
     swaps = [(p, p[:k] + (p[k + 1], p[k]) + p[k + 2 :]) for p in paths for k in range(len(p) - 1)]

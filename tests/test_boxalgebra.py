@@ -5,7 +5,7 @@ import pytest
 from cliffcat import cli
 from cliffcat import ralgebra as ra
 from cliffcat import vertices as vx
-from cliffcat.boxalgebra import BoxAlgebra, box_algebra, path_key, path_target
+from cliffcat.boxalgebra import BoxAlgebra, box_algebra, fmt_mono_box, path_key, path_target
 from cliffcat.quiver import XSIDE, YSIDE, box_arrow_targets
 
 
@@ -198,3 +198,8 @@ def test_n3_builds():
     basis = a.hom_basis((0, 0), tgt)
     # one diagonal class and the two mixed side paths
     assert sorted(a.cohdeg(p) for p in basis) == [-1, 0, 0]
+
+
+def test_fmt_mono_box_identity():
+    # the identity of Box has no arrows; only failure witnesses print it
+    assert fmt_mono_box(((0, 0), ())) == "e([],[])"

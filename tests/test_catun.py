@@ -560,3 +560,8 @@ def test_all_trees_catalan():
     assert len(ck.all_trees(0, 2)) == 1
     assert len(ck.all_trees(0, 3)) == 2
     assert len(ck.all_trees(0, 4)) == 5
+
+
+def test_letter_complex_rejects_unknown_letter():
+    with pytest.raises(ValueError, match="unknown letter 'G'"):
+        cu.letter_complex(2, "G")

@@ -31,6 +31,27 @@ def test_multiply_specialized(capsys):
     assert out.strip() == "q^-1*[] - [1,0]"
 
 
+def test_multiply_json(capsys):
+    # the classes of the two text tests above: [qexp, hexp, coeff] with the
+    # h-grading kept, [qexp, coeff] without
+    code, out = run(capsys, "multiply", "--n", "2", "--x", "[1,0]", "--y", "[2,1]",
+                    "--keep-h", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "n": 2, "x": "[1,0]", "y": "[2,1]", "keep_h": True,
+        "result": [{"vertex": "[]", "coeff": [[0, -1, 1]]},
+                   {"vertex": "[1,0]", "coeff": [[1, 0, 1]]},
+                   {"vertex": "[2,1]", "coeff": [[-1, 0, 1]]}],
+    }
+    code, out = run(capsys, "multiply", "--n", "2", "--x", "[0]", "--y", "[1]", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "n": 2, "x": "[0]", "y": "[1]", "keep_h": False,
+        "result": [{"vertex": "[]", "coeff": [[-1, 1]]},
+                   {"vertex": "[1,0]", "coeff": [[0, -1]]}],
+    }
+
+
 def test_quiver_json_vertex_count(capsys):
     code, out = run(capsys, "quiver", "--n", "2", "--json")
     assert code == 0
@@ -41,6 +62,26 @@ def test_quiver_json_deterministic(capsys):
     _, out1 = run(capsys, "quiver", "--n", "3", "--json")
     _, out2 = run(capsys, "quiver", "--n", "3", "--json")
     assert out1 == out2
+
+
+def test_quiver_text_lists_components(capsys):
+    code, out = run(capsys, "quiver", "--n", "2")
+    assert (code, out) == (0, (
+        "n=2: 8 vertices, 4 arrows\n"
+        "  euler +0: [] [1,0] [2,1]\n"
+        "  euler +1: [0] [2] [2,1,0]\n"
+        "  euler -1: [1]\n"
+        "  euler +2: [2,0]\n"
+    ))
+
+
+def test_box_quiver_text_and_json(capsys):
+    # the boxed quiver prints its size only: it has no component list
+    assert run(capsys, "quiver", "--n", "2", "--box") == (0, "n=2: 64 vertices, 68 arrows\n")
+    code, out = run(capsys, "quiver", "--n", "2", "--box", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert (len(data["vertices"]), len(data["arrows"])) == (64, 68)
 
 
 def test_algebra_hom(capsys):
@@ -178,10 +219,23 @@ def test_verify_caps_n(capsys):
     assert "n=6" in out
     code, out = run(capsys, "verify", "--n", "9", "--suite", "quiver")
     assert code == 0
-    assert "n=6" in out
-    code, out = run(capsys, "verify", "--n", "7", "--suite", "quiver", "--bound-override")
+    assert "n=9" in out
+    code, out = run(capsys, "verify", "--n", "7", "--suite", "algebra", "--bound-override")
     assert code == 0
     assert "n=7" in out
+
+
+def test_verify_text_lists_failures(monkeypatch, capsys):
+    # a failing sweep exits 1 and prints its first 10 failures, indented
+    def sweep(n):
+        return [f"n={n}: bad {i}" for i in range(12)], 12
+
+    monkeypatch.setitem(cli.SUITES, "broken", (3, [sweep]))
+    code, out = run(capsys, "verify", "--n", "2", "--suite", "broken")
+    assert code == 1
+    status, *listed = out.splitlines()
+    assert status.startswith("broken     n=2  checks=12      FAIL (12)  [")
+    assert listed == [f"    n=2: bad {i}" for i in range(10)]
 
 
 def test_usage_errors(capsys):
@@ -209,6 +263,12 @@ def test_usage_errors(capsys):
         assert cli.main(["quiver", "--n", str(n)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: --n must be between 1 and {vx.MAX_N}\n"
+
+
+def test_lift_assoc_unexpected_character(capsys):
+    assert cli.main(["lift", "--n", "2", "--word", "EF", "--assoc", "(.x)"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: unexpected 'x' in association string\n")
 
 
 def run_quiet(argv):
@@ -305,3 +365,13 @@ def test_export_all(tmp_path, capsys):
     assert len(data["table"]) == 64
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == EXPORT_DIGESTS_N2
+
+
+def test_export_all_n4_skips_box_files(tmp_path, capsys):
+    # above n = 3 the boxed quiver and the T(x, y) complexes are not written
+    code, out = run(capsys, "export-all", "--n", "4", "--out", str(tmp_path))
+    assert code == 0
+    names = {"quiver_n4.json", "multiplication_n4.json"}
+    names |= {f"lift_{word}_n4.json" for word in ("E", "F", "EF", "FE")}
+    assert {p.name for p in tmp_path.iterdir()} == names
+    assert len(out.splitlines()) == len(names)
