@@ -24,17 +24,8 @@ from typing import NamedTuple
 from . import kzero as kz
 from . import ralgebra as ra
 from . import vertices as vx
-from .complexes import (
-    ChainMap,
-    ProjComplex,
-    RAlgebraOps,
-    Summand,
-    chain_map_defect,
-    mat_add,
-    mat_then,
-    verify_mc,
-)
-from .quiver import DIAG, XSIDE, YSIDE, apply_arrow
+from .complexes import ProjComplex, RAlgebraOps, Summand, mat_add, mat_then, verify_mc
+from .quiver import DIAG, YSIDE, apply_arrow
 
 
 class TPair(NamedTuple):
@@ -102,7 +93,8 @@ def _case_data(n, xy, kind, t):
 
 
 def right_act_chainmap(n, xy, kind, t):
-    """The chain map T(x,y) -> T(x',y') of one boxed-quiver generator."""
+    """Entries of the chain map T(x,y) -> T(x',y') of one boxed-quiver
+    generator, as {(j in target, i in source): F2 element}."""
     tgt_pair, a_t, step, added, dslice = _case_data(n, xy, kind, t)
     src = t_pair(n, *xy)
     tgt = t_pair(n, *tgt_pair)
@@ -119,14 +111,7 @@ def right_act_chainmap(n, xy, kind, t):
         if entry is None:
             raise AssertionError(f"{kind}{t} has no R monomial {vx.fmt(mon)} -> {vx.fmt(mon_t)}")
         entries[(j, i)] = frozenset([entry])
-    return ChainMap(src.complex, tgt.complex, entries)
-
-
-def compose_chainmaps(f, g):
-    """g after f (apply f's generator first)."""
-    if f.target is not g.source and f.target.summands != g.source.summands:
-        raise AssertionError("composed chain maps do not meet")
-    return ChainMap(f.source, g.target, mat_then(f.source.ops.mult, f.entries, g.entries))
+    return entries
 
 
 @lru_cache(maxsize=None)
@@ -145,28 +130,10 @@ def act_element(n, elem):
             for i, s in enumerate(t_pair(n, *at).complex.summands)
         }
         for kind, s in arrows:
-            entries = mat_then(mult, entries, right_act_chainmap(n, at, kind, s).entries)
+            entries = mat_then(mult, entries, right_act_chainmap(n, at, kind, s))
             at = apply_arrow(at, kind, s)
         paths.append(entries)
     return mat_add(*paths)
-
-
-def leibniz_defect(n, xy, kind, t, act):
-    """d(m x r) + d(m) x r + m x d(r) as a chain map; zero iff Leibniz holds.
-
-    act(n, xy, kind, t) gives a generator's chain map: right_act_chainmap, or
-    a sweep's memo of it so that each map is built once."""
-    chain = act(n, xy, kind, t)
-    defect = chain_map_defect(chain)
-    if kind == DIAG:
-        via_x = compose_chainmaps(
-            act(n, xy, XSIDE, t), act(n, apply_arrow(xy, XSIDE, t), YSIDE, t + 1)
-        )
-        via_y = compose_chainmaps(
-            act(n, xy, YSIDE, t + 1), act(n, apply_arrow(xy, YSIDE, t + 1), XSIDE, t)
-        )
-        defect = mat_add(defect, via_x.entries, via_y.entries)
-    return ChainMap(chain.source, chain.target, defect)
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def parse_word(text, assoc=None):
     if any(p not in aliases and p not in LETTERS for p in parts):
         raise ValueError(f"cannot parse word {text!r}")
     letters = tuple(aliases.get(p, p) for p in parts)
-    tree = parse_association(assoc) if assoc else None
+    tree = None if assoc is None else parse_association(assoc)
     return Word(letters, tree)
 
 

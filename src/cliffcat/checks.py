@@ -10,7 +10,7 @@ other module defines a sweep.  Library modules do not import this one.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 from . import bimodule as bm
@@ -320,16 +320,26 @@ def _check_pair(n, xy, failures, act):
     """Every generator out of (x, y) acts by a chain map of its degree that
     satisfies Leibniz; identified length-2 paths act identically.  T(x, y)
     itself is verified by t_pair, which raises if it is invalid.  act(n, xy,
-    kind, t) gives a generator's chain map (bm.right_act_chainmap or a memo
-    of it).  Returns the number of checks."""
+    kind, t) gives a generator's entries (bm.right_act_chainmap or a memo
+    of it).  Every map here is over R, where d = 0, so the Leibniz defect
+    of f is f then d_target plus d_source then f, and for D_t also the two
+    composites X_t.Y_{t+1} and Y_{t+1}.X_t.  Returns the number of checks."""
+    then = partial(cx.mat_then, cx.RAlgebraOps(n).mult)
+    source = bm.t_pair(n, *xy).complex
     checks = 0
-    for kind, t, _ in qv.box_arrow_targets(n, xy):
-        chain = act(n, xy, kind, t)
+    for kind, t, target in qv.box_arrow_targets(n, xy):
+        f = act(n, xy, kind, t)
+        target_cx = bm.t_pair(n, *target).complex
         deg = (qv.arrow_qdeg(n, kind, t), qv.arrow_cohdeg(kind))
-        witness = cx.map_violation(chain.source, chain.target, chain.entries, deg)
+        witness = cx.map_violation(source, target_cx, f, deg)
         if witness is not None:
             failures.append(f"{vx.fmt_pair(xy)} {kind}{t}: {witness}")
-        if bm.leibniz_defect(n, xy, kind, t, act).entries:
+        defect = [then(f, target_cx.delta), then(source.delta, f)]
+        if kind == qv.DIAG:  # d(D_t) = X_t.Y_{t+1} + Y_{t+1}.X_t
+            x_t, y_t = (qv.XSIDE, t), (qv.YSIDE, t + 1)
+            for (k1, s1), (k2, s2) in ((x_t, y_t), (y_t, x_t)):
+                defect.append(then(act(n, xy, k1, s1), act(n, qv.apply_arrow(xy, k1, s1), k2, s2)))
+        if cx.mat_add(*defect):
             failures.append(f"{vx.fmt_pair(xy)} {kind}{t}: Leibniz fails")
         checks += 2
     for k1, s1, mid in qv.box_arrow_targets(n, xy):
@@ -337,10 +347,9 @@ def _check_pair(n, xy, failures, act):
             if bx.canonical(((k1, s1), (k2, s2))) != bx.canonical(((k2, s2), (k1, s1))):
                 continue
             checks += 1
-            one = bm.compose_chainmaps(act(n, xy, k1, s1), act(n, mid, k2, s2))
-            via = bx.apply_arrow(xy, k2, s2)
-            two = bm.compose_chainmaps(act(n, xy, k2, s2), act(n, via, k1, s1))
-            if one.entries != two.entries:
+            one = then(act(n, xy, k1, s1), act(n, mid, k2, s2))
+            two = then(act(n, xy, k2, s2), act(n, qv.apply_arrow(xy, k2, s2), k1, s1))
+            if one != two:
                 failures.append(
                     f"{vx.fmt_pair(xy)}: {k1}{s1}.{k2}{s2} != {k2}{s2}.{k1}{s1}"
                 )
@@ -355,7 +364,7 @@ def bimodule_failures(n):
     algebra, so left R-linearity holds by construction and is not swept:
     (a.m) x r = a.(m x r) is associativity of the base algebra.
 
-    Each (pair, generator) chain map is built once per sweep, in a memo that
+    Each (pair, generator) action is built once per sweep, in a memo that
     dies with it: a word lift never asks for the same map twice, so a global
     memo would only hold memory."""
     failures, checks = [], 0

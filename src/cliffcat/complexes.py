@@ -357,25 +357,6 @@ def k0_class(c):
     return {v: coeff for v, coeff in out.items() if coeff}
 
 
-class ChainMap(NamedTuple):
-    """A map source -> target; entries maps (j in target, i in source) to a
-    nonempty frozenset.  Entries are kept as given, not normalized."""
-
-    source: ProjComplex
-    target: ProjComplex
-    entries: dict
-
-
-def chain_map_defect(f):
-    """Entries of d(f) + delta_N o f + f o delta_M (zero iff f is closed)."""
-    ops = f.source.ops
-    return mat_add(
-        mat_diff(ops.diff, f.entries),
-        mat_then(ops.mult, f.entries, f.target.delta),
-        mat_then(ops.mult, f.source.delta, f.entries),
-    )
-
-
 # ---------------------------------------------------------------------------
 # tensor over the ground field and the diagonal lift
 

@@ -37,17 +37,18 @@ def test_t_pair_k0_is_product():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_act_element_matches_chainmap_fold(n):
     # the memoized right action of every box class equals the composite of
-    # its generators' chain maps, folded from the identity of T(source), and
+    # its generators' entries, folded from the identity of T(source), and
     # a fresh computation
+    mult = cx.RAlgebraOps(n).mult
     for source, arrows in box_algebra(n).all_monomials():
         tp = bm.t_pair(n, *source)
-        identity = {(i, i): frozenset([(m, m)]) for i, (m, *_) in enumerate(tp.complex.summands)}
-        chain, at = cx.ChainMap(tp.complex, tp.complex, identity), source
+        entries = {(i, i): frozenset([(m, m)]) for i, (m, *_) in enumerate(tp.complex.summands)}
+        at = source
         for kind, s in arrows:
-            chain = bm.compose_chainmaps(chain, bm.right_act_chainmap(n, at, kind, s))
+            entries = cx.mat_then(mult, entries, bm.right_act_chainmap(n, at, kind, s))
             at = apply_arrow(at, kind, s)
         elem = frozenset([(source, arrows)])
-        assert bm.act_element(n, elem) == chain.entries
+        assert bm.act_element(n, elem) == entries
         assert bm.act_element(n, elem) == bm.act_element.__wrapped__(n, elem)
 
 
@@ -132,7 +133,7 @@ def test_right_action_matches_set_formula():
         for x in vx.all_vertices(n):
             for y in vx.all_vertices(n):
                 for kind, t, _ in box_arrow_targets(n, (x, y)):
-                    got = bm.right_act_chainmap(n, (x, y), kind, t).entries
+                    got = bm.right_act_chainmap(n, (x, y), kind, t)
                     assert got == _set_formula_action(n, (x, y), kind, t), (n, x, y, kind, t)
                     kinds.add(kind)
     assert kinds == {XSIDE, YSIDE, DIAG}
@@ -147,7 +148,7 @@ def test_t_pair_zero_when_repetition():
 def test_diag_action_from_empty_pair():
     # e([]) under the diagonal generator lands in slice -1 of T([1,0],[2,1])
     ch = bm.right_act_chainmap(2, (0, 0), DIAG, 0)
-    assert ch.entries == {(0, 0): frozenset([(0, 0)])}
+    assert ch == {(0, 0): frozenset([(0, 0)])}
     tgt = bm.t_pair(2, vx.from_seq((1, 0)), vx.from_seq((2, 1)))
     mon, e, k = tgt.complex.summands[0]
     assert (k, mon, e) == (-1, 0, 0)
@@ -161,9 +162,9 @@ def test_yside_action_case_generator():
     tgt = bm.t_pair(n, 1 << 0, vx.from_seq((3, 2, 1)))
     # slice 0 (A empty, vertex []) maps onto e([]) * generator into P([3,2])
     i = src.index[0]  # the empty subset
-    assert ch.entries[(0, i)] == frozenset([(0, vx.from_seq((3, 2)))])
+    assert ch[(0, i)] == frozenset([(0, vx.from_seq((3, 2)))])
     # slice 1 (vertex [1,0]) maps into P([3,2,1,0]) at the same position
-    assert ch.entries[(1, 1)] == frozenset(
+    assert ch[(1, 1)] == frozenset(
         [(vx.from_seq((1, 0)), vx.from_seq((3, 2, 1, 0)))]
     )
     assert tgt.complex.summands[0].vertex == vx.from_seq((3, 2))
@@ -196,51 +197,77 @@ def test_leibniz_all_generators_n2():
     n = 2
     for x in vx.all_vertices(n):
         for y in vx.all_vertices(n):
-            for kind, t, _ in box_arrow_targets(n, (x, y)):
-                defect = bm.leibniz_defect(n, (x, y), kind, t, bm.right_act_chainmap)
-                assert not defect.entries, (vx.fmt_pair((x, y)), kind, t)
+            failures = []
+            ck._check_pair(n, (x, y), failures, bm.right_act_chainmap)
+            assert failures == [], vx.fmt_pair((x, y))
 
 
-def test_leibniz_negative_control():
-    # dropping one entry from a generator's chain map must break Leibniz
-    n = 2
-    xy = (vx.from_seq((1, 0)), 1 << 2)
-    ch = bm.right_act_chainmap(n, xy, YSIDE, 0)
-    assert ch.entries
-    broken = dict(ch.entries)
+def _drop_first_entry(at, kind, t):
+    """The sweep's act with the first entry of one generator's map dropped."""
+    real = bm.right_act_chainmap
+    broken = dict(real(2, at, kind, t))
     broken.pop(sorted(broken)[0])
-    mutated = cx.ChainMap(ch.source, ch.target, broken)
-    defect = cx.ChainMap(ch.source, ch.target, cx.chain_map_defect(mutated))
-    assert defect.entries
+
+    def act(*args):
+        return broken if args == (2, at, kind, t) else real(*args)
+
+    return act
+
+
+@pytest.mark.parametrize(
+    "xy, kind", [((vx.from_seq((1, 0)), 1 << 2), YSIDE), ((0, 0), DIAG)], ids=["Y0", "D0"]
+)
+def test_leibniz_negative_control(xy, kind):
+    # dropping one entry from a generator's map must break Leibniz
+    failures = []
+    ck._check_pair(2, xy, failures, _drop_first_entry(xy, kind, 0))
+    assert f"{vx.fmt_pair(xy)} {kind}0: Leibniz fails" in failures, failures
+
+
+def test_relation_negative_control():
+    # dropping one entry of Y0 at the middle pair of X0.Y0 breaks the
+    # identification of X0.Y0 with Y0.X0 at the empty pair
+    failures = []
+    ck._check_pair(2, (0, 0), failures, _drop_first_entry((vx.from_seq((1, 0)), 0), YSIDE, 0))
+    assert f"([],[]): {XSIDE}0.{YSIDE}0 != {YSIDE}0.{XSIDE}0" in failures, failures
 
 
 @pytest.mark.parametrize("broken", ["endpoint", "q-degree"])
-def test_generator_degree_check_negative_control(broken):
-    # one entry of a generator's chain map moved off its target vertex, or
-    # its target summand moved off the generator's q-degree, is reported
+def test_generator_degree_check_negative_control(broken, monkeypatch):
+    # one entry of a generator's map moved off its target vertex, or its
+    # target summand moved off the generator's q-degree, is reported
     n = 2
     xy = (vx.from_seq((1, 0)), 1 << 2)
     real = bm.right_act_chainmap
-    ch = real(n, xy, YSIDE, 0)
-    (j, i), e = sorted(ch.entries.items())[0]
+    entries = real(n, xy, YSIDE, 0)
+    (j, i), e = sorted(entries.items())[0]
     ((src, tgt),) = e
     if broken == "endpoint":
         other = next(
             w for w in vx.all_vertices(n) if w != tgt and ra.basis_mon_r(n, src, w)
         )
-        entries = dict(ch.entries)
+        entries = dict(entries)
         entries[(j, i)] = frozenset([ra.basis_mon_r(n, src, other)])
-        mutated = cx.ChainMap(ch.source, ch.target, entries)
         want = f"entry ({j},{i}) endpoints do not match summands"
     else:
-        summands = list(ch.target.summands)
-        s = summands[j]
-        summands[j] = cx.Summand(s.vertex, s.qshift + 1, s.cohshift)
-        target = cx.ProjComplex(ch.target.ops, tuple(summands), ch.target.delta)
-        mutated = cx.ChainMap(ch.source, target, ch.entries)
+        target = apply_arrow(xy, YSIDE, 0)
+        real_t_pair = bm.t_pair
+
+        def t_pair(n, x, y):
+            tp = real_t_pair(n, x, y)
+            if (x, y) != target:
+                return tp
+            summands = list(tp.complex.summands)
+            s = summands[j]
+            summands[j] = cx.Summand(s.vertex, s.qshift + 1, s.cohshift)
+            shifted = cx.ProjComplex(tp.complex.ops, tuple(summands), tp.complex.delta)
+            return bm.TPair(shifted, tp.index)
+
+        monkeypatch.setattr(bm, "t_pair", t_pair)
         want = "violates the q contract"
+
     def act(*args):
-        return mutated if args == (n, xy, YSIDE, 0) else real(*args)
+        return entries if args == (n, xy, YSIDE, 0) else real(*args)
 
     failures = []
     ck._check_pair(n, xy, failures, act)

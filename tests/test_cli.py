@@ -252,6 +252,7 @@ def test_usage_errors(capsys):
         (["lift", "--n", "2", "--word", "EF", "--assoc", ".."], "trailing characters"),
         (["lift", "--n", "2", "--word", "EF", "--assoc", "(..)."], "trailing characters"),
         (["lift", "--n", "2", "--word", "EFE", "--assoc", "(...)"], "unbalanced"),
+        (["lift", "--n", "2", "--word", "EFE", "--assoc", ""], "unbalanced"),
         (["multiply", "--n", "3", "--x", "[1,1]", "--y", "[0]"], "repeated element 1"),
     ):
         assert cli.main(argv) == 2

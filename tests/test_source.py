@@ -110,6 +110,30 @@ def test_runtime_imports_only_stdlib():
     assert not found, found
 
 
+def test_every_definition_has_a_caller():
+    # "delete code that nothing calls": every module-level function and
+    # class of the package is named somewhere in the package or its scripts
+    # (as a name, an attribute or an import); tests do not count as callers
+    used, defined = set(), []
+    for path in sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.split(".")[-1])
+        if path.is_relative_to(PACKAGE):
+            defined += [
+                (f"{path.relative_to(PACKAGE)}:{node.lineno}", node.name)
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            ]
+    orphans = [f"{where} {name}" for where, name in defined if name not in used]
+    assert not orphans, orphans
+
+
 def test_traced_names_resolve():
     # the benchmark traces cliffcat functions by name; a rename or a moved
     # method must not leave a metric silently at zero.  install() rebinds
