@@ -37,7 +37,7 @@ class TPair(NamedTuple):
 
 @lru_cache(maxsize=None)
 def t_pair(n, x, y):
-    slices = [(k, A, e, mon) for k, A, e, mon in kz.m_slices(n, x, y) if mon is not None]
+    slices = kz.m_slices(n, x, y)
     index = {A: i for i, (_, A, _, _) in enumerate(slices)}
     p = kz.pair_data(x, y).lows.bit_count()
     summands = tuple(Summand(mon, e, k) for k, _, e, mon in slices)

@@ -4,12 +4,12 @@ The product M(x, y) of two vertices resolves each adjacent increasing pair:
 an s in x with s + 1 in y, one bit of lows = x & (y >> 1).  What is left of
 x and y is rest; the product is 0 when the two rests share an element.
 Each subset A of the pairs gives one slice, rest plus the pair {s, s + 1}
-for every pair in A, which vanishes as soon as two of its parts meet.  A is
-an int bitmask over the pair indices 1..p, bit i the i-th highest pair,
-just as a vertex is a mask over {0..n}.  The h-power counts the far
-transpositions a < b - 1 (a in x, b in y) with sign (-1)^(a+b+1), plus
-|A|.  Setting h = -1 gives an associative product whose length-one
-generators satisfy Clifford relations.
+for every pair in A; a slice in which two of these parts meet vanishes and
+is never built.  A is an int bitmask over the pair indices 1..p, bit i the
+i-th highest pair, just as a vertex is a mask over {0..n}.  The h-power
+counts the far transpositions a < b - 1 (a in x, b in y) with sign
+(-1)^(a+b+1), plus |A|.  Setting h = -1 gives an associative product whose
+length-one generators satisfy Clifford relations.
 """
 
 from __future__ import annotations
@@ -34,36 +34,52 @@ class PairData(NamedTuple):  # cheaper to build than a frozen dataclass
 def pair_data(x, y):
     lows = x & (y >> 1)
     xr, yr = x & ~lows, y & ~(lows << 1)
+    xe = x & 0x5555555555555555  # the even a in x
     mu = 0
     rest = y >> 2 << 2  # each b > 1 in y, lowest first
     while rest:
         low = rest & -rest
-        e = vx.euler(x & ((low >> 1) - 1))  # the a < b - 1 in x
+        below = (low >> 1) - 1  # the a < b - 1: vx.euler of x & below, inline
+        e = 2 * (xe & below).bit_count() - (x & below).bit_count()
         mu += e if low & 0xAAAAAAAAAAAAAAAA else -e  # + when b is odd
         rest ^= low
     return PairData(mu, lows, None if xr & yr else xr | yr)
 
 
 def m_slices(n, x, y):
-    """All (k, A, eta, monomial-or-None) of the h,q expansion of the product,
-    by |A| and then lexicographically.  Pair i adds {s, s + 1} to the
-    monomial if bit i of A is set, else 2s + 1 - n to eta."""
+    """The slices with a monomial of the h,q expansion of the product, as
+    (k, A, eta, monomial), by |A| and then lexicographically.  Pair i adds
+    {s, s + 1} to the monomial if bit i of A is set, else 2s + 1 - n to eta.
+    A pair that meets rest is never chosen, and a choice stops at the first
+    pair that meets the monomial built so far."""
     pd = pair_data(x, y)
-    if pd.rest is None:
+    rest = pd.rest
+    if rest is None:
         return []
-    pairs = [(1 << i, 2 * s + 1 - n, 0b11 << s) for i, s in enumerate(vx.seq(pd.lows), start=1)]
-    full = sum(w for _, w, _ in pairs)
+    full, live = 0, []  # eta of A = 0; (bit, weight, mask) of each pair clear of rest
+    i, lows = pd.lows.bit_count(), pd.lows  # lowest pair first, so i counts down from p
+    while lows:
+        low = lows & -lows  # 1 << s
+        w, m = 2 * low.bit_length() - 1 - n, 0b11 * low  # 2s + 1 - n and {s, s + 1}
+        full += w
+        if not rest & m:
+            live.append((1 << i, w, m))
+        lows ^= low
+        i -= 1
+    live.reverse()  # pair 1, the highest, first
     out = []
-    for size in range(len(pairs) + 1):
+    for size in range(len(live) + 1):
         k = pd.mu + size
-        for chosen in combinations(pairs, size):
-            A, mon, eta = 0, pd.rest, full
+        for chosen in combinations(live, size):
+            A, mon, eta = 0, rest, full
             for bit, w, m in chosen:
+                if mon & m:
+                    break
                 A |= bit
                 eta -= w
-                if mon is not None:
-                    mon = None if mon & m else mon | m
-            out.append((k, A, eta, mon))
+                mon |= m
+            else:
+                out.append((k, A, eta, mon))
     return out
 
 
@@ -71,7 +87,7 @@ def higher_mult(n, x, y):
     """Product with the h-grading kept, as {vertex: LaurentZH}.  A vertex
     minus rest splits into disjoint pairs {s, s + 1} in one way only, so it
     comes from one slice and has one term, q^eta h^k with coefficient 1."""
-    return {mon: LaurentZH.monomial(e, k) for k, _, e, mon in m_slices(n, x, y) if mon is not None}
+    return {mon: LaurentZH.monomial(e, k) for k, _, e, mon in m_slices(n, x, y)}
 
 
 def extend(product, zero, a, b):

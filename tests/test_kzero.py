@@ -1,6 +1,7 @@
 """The q,h-valued product on vertex classes and its Clifford specialization."""
 
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -91,7 +92,7 @@ def test_glue():
     slices = _slice_monomials(2, vx.from_seq((2, 0)), vx.from_seq((1,)))  # pair (0, 1), rest {2}
     assert slices[0b10] == vx.from_seq((2, 1, 0))  # A = {1}
     slices = _slice_monomials(2, vx.from_seq((1, 0)), vx.from_seq((2, 1)))  # pairs (1, 2) and (0, 1)
-    assert slices[0b110] is None  # A = {1, 2}
+    assert 0b110 not in slices  # A = {1, 2}: the two pairs meet
 
 
 def _slice_monomials(n, x, y):
@@ -109,19 +110,35 @@ def test_mu_single():
         assert kz.pair_data(1 << a, 1 << b).mu == mu, (a, b)
 
 
+def _check_closed_form(n, x, y):
+    """pair_data and m_slices of x, y against the block oracle: the slices
+    with a monomial, in the oracle's order."""
+    mu, pairs, _ = _block_pair_data(x, y)
+    pd = kz.pair_data(x, y)
+    assert (pd.mu, vx.seq(pd.lows)) == (mu, pairs), (n, x, y)
+    # the oracle's subsets are frozensets of pair indices
+    want = [
+        (k, sum(1 << i for i in A), e, mon)
+        for k, A, e, mon in _block_m_slices(n, x, y)
+        if mon is not None
+    ]
+    assert kz.m_slices(n, x, y) == want, (n, x, y)
+
+
 def test_closed_form_matches_block_oracle():
     for n in range(1, 6):
         for x in vx.all_vertices(n):
             for y in vx.all_vertices(n):
-                mu, pairs, _ = _block_pair_data(x, y)
-                pd = kz.pair_data(x, y)
-                assert (pd.mu, vx.seq(pd.lows)) == (mu, pairs), (n, x, y)
-                # the oracle's subsets are frozensets of pair indices
-                want = [
-                    (k, sum(1 << i for i in A), e, mon)
-                    for k, A, e, mon in _block_m_slices(n, x, y)
-                ]
-                assert kz.m_slices(n, x, y) == want, (n, x, y)
+                _check_closed_form(n, x, y)
+
+
+def test_closed_form_matches_block_oracle_sampled():
+    # above n = 5 a seeded sample, so pairs at bits 6 and up (where
+    # assoc-n10 runs) are checked too
+    for n in range(6, 11):
+        rng = random.Random(n)
+        for _ in range(2000):
+            _check_closed_form(n, rng.getrandbits(n + 1), rng.getrandbits(n + 1))
 
 
 # SHA-256 of fmt_kclass of higher_mult and of mult_mono on every ordered pair

@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import cliffcat
 
 PACKAGE = pathlib.Path(cliffcat.__file__).parent
@@ -52,6 +54,27 @@ print(json.dumps({
     "called": sorted(name for name, stats in tracer.stats.items() if stats[0]),
     "predicted": sorted(run.CALLED["lift-n4"]),
     "problems": run.bypass_problems("lift-n4", tracer.metrics()),
+}))
+"""
+
+# Installs perfbench's tracer, runs one round (200 ops) of an assoc workload
+# with the tracer active, and reports the traced names that got calls, the
+# names run.CALLED predicts, and the harness's own bypass problems.
+_ASSOC_BYPASS = """
+import json, sys, run, tracing, workloads
+workload = sys.argv[1]
+tracer = tracing.Tracer()
+tracer.install()
+wl = workloads.WORKLOADS[workload][1](1)
+for i in range(200):
+    inp = wl.next_input()
+    tracer.start_op(i)
+    wl.op(inp)
+    tracer.stop_op()
+print(json.dumps({
+    "called": sorted(name for name, stats in tracer.stats.items() if stats[0]),
+    "predicted": sorted(run.CALLED[workload]),
+    "problems": run.bypass_problems(workload, tracer.metrics()),
 }))
 """
 
@@ -143,6 +166,21 @@ def test_traced_names_resolve():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report == {"missing": [], "unwrapped": []}, report
+
+
+@pytest.mark.parametrize("name", ["assoc-n5", "assoc-n10"])
+def test_assoc_bypass_prediction_holds(name):
+    # the vertex product calls exactly the traced names the assoc workloads
+    # predict (higher_mult, specialize_h and the Laurent arithmetic among
+    # them), so a kernel change that drops one fails here, not only under
+    # the harness's --trace 1 run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", _ASSOC_BYPASS, name], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["called"] == report["predicted"]
+    assert report["problems"] == []
 
 
 def test_lift_bypass_prediction_holds():
