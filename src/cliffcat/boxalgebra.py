@@ -110,12 +110,9 @@ class BoxAlgebra:
             return None
         return canonical(arrows)
 
-    def hom_basis(self, source, target, cohdeg=None):
+    def hom_basis(self, source, target, cohdeg):
         self._ensure(source)
-        out = self._classes.get((source, target), [])
-        if cohdeg is None:
-            return out
-        return [p for p in out if self.cohdeg(p) == cohdeg]
+        return [p for p in self._classes.get((source, target), []) if self.cohdeg(p) == cohdeg]
 
     def all_monomials(self):
         self.build_all()

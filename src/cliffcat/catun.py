@@ -13,7 +13,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from . import vertices as vx
 from .bimodule import act_element, assemble_T, t_pair, tensor_T
 from .complexes import (
     ProjComplex,
@@ -23,41 +22,26 @@ from .complexes import (
     _side_entry,
     check_factors,
     lift_to_box,
-    projective,
     tensor_entries,
     tensor_f2,
 )
+from .kzero import postorder
 
 LETTERS = ("One", "Q", "Qinv", "E", "F")
-
-
-def _letter(n, first):
-    """The direct sum of P([i]) over i = first, first + 2, ... up to n."""
-    summands = tuple(Summand(vx.from_seq((i,)), 0, 0) for i in range(first, n + 1, 2))
-    return ProjComplex(RAlgebraOps(n), summands, {})
-
-
-def make_E(n):
-    return _letter(n, 0)
-
-
-def make_F(n):
-    return _letter(n, 1)
+# One, Q and Qinv are P([]) shifted by this q-degree; E and F are the direct
+# sum of P([i]) (the vertex mask 1 << i) over the i <= n of this parity
+_SHIFTS = {"One": 0, "Q": 1, "Qinv": -1}
+_PARITIES = {"E": 0, "F": 1}
 
 
 def letter_complex(n, letter):
-    ops = RAlgebraOps(n)
-    if letter == "One":
-        return projective(ops, 0)
-    if letter == "Q":
-        return projective(ops, 0, qshift=1)
-    if letter == "Qinv":
-        return projective(ops, 0, qshift=-1)
-    if letter == "E":
-        return make_E(n)
-    if letter == "F":
-        return make_F(n)
-    raise ValueError(f"unknown letter {letter!r}")
+    if letter in _SHIFTS:
+        summands = (Summand(0, _SHIFTS[letter], 0),)
+    elif letter in _PARITIES:
+        summands = tuple(Summand(1 << i, 0, 0) for i in range(_PARITIES[letter], n + 1, 2))
+    else:
+        raise ValueError(f"unknown letter {letter!r}")
+    return ProjComplex(RAlgebraOps(n), summands, {})
 
 
 def rho(m, nc):
@@ -120,20 +104,9 @@ class Word:
             if letter not in LETTERS:
                 raise ValueError(f"unknown letter {letter!r}")
         if self.association is not None:
-            if _leaves(self.association) != tuple(range(len(self.letters))):
+            leaves = [t for t in postorder(self.association) if isinstance(t, int)]
+            if leaves != list(range(len(self.letters))):
                 raise ValueError("association leaves do not match the letters")
-
-
-def _leaves(tree):
-    out, stack = [], [tree]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, int):
-            out.append(t)
-        else:
-            left, right = t
-            stack += (right, left)
-    return tuple(out)
 
 
 def left_fold_tree(k):
@@ -235,8 +208,8 @@ _SUBLIFTS = _SubLifts()
 
 
 def lift_word(n, word):
-    """Fold rho over the association tree (default: left fold), in post-order
-    on an explicit stack, so any tree depth folds.
+    """Fold rho over the association tree (default: left fold) as
+    kzero.postorder walks it, so any tree depth folds.
 
     Each proper sub-lift is looked up in _SUBLIFTS by its node key and
     stored there on a miss, so a sweep over many trees lifts each sub-word
@@ -248,22 +221,19 @@ def lift_word(n, word):
     memo = _SUBLIFTS
     if len(memo.keys) > _SUBLIFT_CAP:  # keys outlive evicted lifts
         memo.clear()
-    todo, done = [tree], []  # done holds (node key, lift)
-    while todo:
-        t = todo.pop()
-        if t is None:  # both children of a node are lifted
-            (rkey, right), (lkey, left) = done.pop(), done.pop()
-            if not todo:  # the root's marker is the last one popped
-                return rho(left, right)
-            key = memo.key((lkey, rkey))
-            c = memo.lifts.get(key)
-            if c is None:
-                c = rho(left, right)
-                memo.store(key, c)
-            done.append((key, c))
-        elif isinstance(t, int):
+    done = []  # (node key, lift) of the subtrees walked and not yet joined
+    for t in postorder(tree):
+        if isinstance(t, int):
             letter = word.letters[t]
             done.append((memo.key((n, letter)), letter_complex(n, letter)))
-        else:
-            todo += (None, t[1], t[0])
+            continue
+        (rkey, right), (lkey, left) = done.pop(), done.pop()
+        if t is tree:
+            return rho(left, right)
+        key = memo.key((lkey, rkey))
+        c = memo.lifts.get(key)
+        if c is None:
+            c = rho(left, right)
+            memo.store(key, c)
+        done.append((key, c))
     return done[0][1]

@@ -148,14 +148,34 @@ def iota_letter(n, letter):
     raise ValueError(f"unknown letter {letter!r}")
 
 
+def postorder(tree):
+    """The nodes of a nested-pair tree with int leaves, each after its
+    children: leaves left to right, an inner node after both its subtrees.
+
+    The walk keeps its own stack, so any depth works; an inner node that
+    does not unpack as a pair raises ValueError."""
+    todo = [(tree, False)]  # (node, whether its children were pushed)
+    while todo:
+        t, expanded = todo.pop()
+        if expanded or isinstance(t, int):
+            yield t
+        else:
+            left, right = t
+            todo += ((t, True), (right, False), (left, False))
+
+
 def iota(n, letters, tree):
     """Image of a word over {One, Q, Qinv, E, F}, folded over an association
     tree of leaf indices, as a word lift folds rho over it (for the left
     fold, pass catun.left_fold_tree(len(letters)))."""
-    if isinstance(tree, int):
-        return iota_letter(n, letters[tree])
-    left, right = tree
-    return mult(n, iota(n, letters, left), iota(n, letters, right))
+    done = []  # the classes of the subtrees walked and not yet multiplied
+    for t in postorder(tree):
+        if isinstance(t, int):
+            done.append(iota_letter(n, letters[t]))
+        else:
+            right = done.pop()
+            done.append(mult(n, done.pop(), right))
+    return done[0]
 
 
 def fmt_kclass(a):

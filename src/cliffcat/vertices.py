@@ -39,7 +39,7 @@ def from_json(data, n):
     """A vertex mask from its JSON form: a strictly decreasing list in [0, n]."""
     if not isinstance(data, list) or not all(type(e) is int for e in data):
         raise ValueError(f"vertex {data!r} is not a list of integers")
-    if any(a <= b for a, b in zip(data, data[1:])):
+    if any(a < b for a, b in zip(data, data[1:])):  # from_seq names a repeat
         raise ValueError(f"vertex {data!r} is not strictly decreasing")
     return from_seq(data, n)
 
@@ -58,15 +58,14 @@ def fmt(v):
 
 
 def parse(text, n=None):
-    """Parse '[2,1,0]' or '[]' into a vertex mask."""
+    """Parse '[2,1,0]' or '[]' into a vertex mask, checked as from_json
+    checks a vertex; each element is a run of ASCII digits."""
     t = "".join(text.split())
-    if not (t.startswith("[") and t.endswith("]")):
+    parts = t[1:-1].split(",") if t[1:-1] else []
+    digits = all(p.isascii() and p.isdigit() for p in parts)
+    if not (t.startswith("[") and t.endswith("]") and digits):
         raise ValueError(f"bad vertex syntax: {text!r}")
-    body = t[1:-1]
-    elems = [int(p) for p in body.split(",")] if body else []
-    if elems != sorted(elems, reverse=True):
-        raise ValueError(f"sequence not strictly decreasing: {text!r}")
-    return from_seq(elems, n)
+    return from_json([int(p) for p in parts], n)
 
 
 def all_vertices(n):

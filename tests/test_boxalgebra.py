@@ -81,7 +81,12 @@ def test_closed_form_matches_oracle(n):
             assert {t for s, t in alg._classes if s == source} == set(oracle)
             for target, classes in oracle.items():
                 mins = [min(members, key=path_key) for members in classes]
-                assert alg.hom_basis(source, target) == sorted(mins, key=path_key)
+                want = sorted(mins, key=path_key)
+                # a class has at most n + 1 diagonal arrows, each of degree -1
+                degrees = range(-(n + 1), 1)
+                assert all(alg.cohdeg(p) in degrees for p in want)
+                for d in degrees:
+                    assert alg.hom_basis(source, target, d) == [p for p in want if alg.cohdeg(p) == d]
                 for members, least in zip(classes, mins):
                     for p in members:
                         assert alg.normal_form(source, p) == least, (source, p)
@@ -193,11 +198,10 @@ def test_qdeg_constant_per_hom_class():
 
 def test_n3_builds():
     a = box_algebra(3)
-    src = ((0, 0))
+    src = (0, 0)
     tgt = (vx.from_seq((1, 0)), vx.from_seq((2, 1)))
-    basis = a.hom_basis((0, 0), tgt)
-    # one diagonal class and the two mixed side paths
-    assert sorted(a.cohdeg(p) for p in basis) == [-1, 0, 0]
+    # one diagonal class and the two mixed side paths, over every degree
+    assert [len(a.hom_basis(src, tgt, d)) for d in range(-4, 1)] == [0, 0, 0, 1, 2]
 
 
 def test_fmt_mono_box_identity():

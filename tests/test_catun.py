@@ -17,14 +17,14 @@ import cliffcat.complexes as cx
 
 
 def test_make_EF():
-    E = cu.make_E(2)
-    F = cu.make_F(2)
+    E = cu.letter_complex(2, "E")
+    F = cu.letter_complex(2, "F")
     assert sorted(vx.fmt(s.vertex) for s in E.summands) == ["[0]", "[2]"]
     assert [vx.fmt(s.vertex) for s in F.summands] == ["[1]"]
     assert not E.delta and not F.delta
     for n in (1, 2, 3, 4):
-        assert cx.k0_class(cu.make_E(n)) == kz.iota_letter(n, "E")
-        assert cx.k0_class(cu.make_F(n)) == kz.iota_letter(n, "F")
+        assert cx.k0_class(cu.letter_complex(n, "E")) == kz.iota_letter(n, "E")
+        assert cx.k0_class(cu.letter_complex(n, "F")) == kz.iota_letter(n, "F")
 
 
 def test_rho_of_projectives_is_t():
@@ -37,7 +37,7 @@ def test_rho_of_projectives_is_t():
 
 def test_unit_laws():
     for n in (1, 2):
-        for c in (cu.make_E(n), cu.make_F(n)):
+        for c in (cu.letter_complex(n, "E"), cu.letter_complex(n, "F")):
             assert ck.unit_law_check(n, c) == []
     # and on a complex with a nontrivial differential
     T = bm.t_pair(2, 1 << 0, 1 << 1).complex
@@ -53,7 +53,7 @@ def _reversed(c):
 def test_unit_law_check_sees_relabeling(monkeypatch):
     # a rho that reverses the summands returns a relabeling of its input;
     # the unit laws hold exactly, so the check must report it
-    for c in (cu.make_E(2), bm.t_pair(2, 1 << 0, 1 << 1).complex):
+    for c in (cu.letter_complex(2, "E"), bm.t_pair(2, 1 << 0, 1 << 1).complex):
         monkeypatch.setattr(cu, "rho", lambda m, nc: _reversed(c))
         assert ck.unit_law_check(2, c) == ["right unit law fails", "left unit law fails"]
 
@@ -114,7 +114,7 @@ def test_rho_checks_contract_twice(monkeypatch):
     # verify_mc; three calls, never over RR or Box.  This holds one-sided
     # (E, F), two-sided without correction (EF, EF) and two-sided with one
     # correction (EF, FE)
-    E, F = cu.make_E(3), cu.make_F(3)
+    E, F = cu.letter_complex(3, "E"), cu.letter_complex(3, "F")
     EF, FE = cu.rho(E, F), cu.rho(F, E)
     cu.rho(EF, EF), cu.rho(EF, FE)  # fill the t_pair and per-entry caches
     real_correction, real = cx._correction, cx.contract_violation
@@ -392,7 +392,7 @@ def test_one_sided_step_skips_both_squares(monkeypatch):
     # corrected path shows; a two-sided step makes all four
     n = 3
     EF = cu.lift_word(n, cu.parse_word("EF"))
-    one_sided = [(EF, cu.make_E(n)), (cu.make_F(n), EF)]
+    one_sided = [(EF, cu.letter_complex(n, "E")), (cu.letter_complex(n, "F"), EF)]
     for pair in one_sided:
         cu.rho(*pair)  # fill the t_pair and per-entry caches
     calls = []
@@ -482,7 +482,7 @@ def test_one_correction_pass_lifts_five_letter_words(monkeypatch, no_sublift_mem
 
 def test_rho_k0_multiplicative():
     n = 2
-    E, F = cu.make_E(n), cu.make_F(n)
+    E, F = cu.letter_complex(n, "E"), cu.letter_complex(n, "F")
     for a in (E, F):
         for b in (E, F):
             got = cx.k0_class(cu.rho(a, b))
@@ -493,7 +493,7 @@ def test_rho_k0_multiplicative():
 def test_ef_plus_fe_relation():
     # the lifted anticommutator realizes q^{n-1} + ... + q^{1-n} on the unit
     for n in (1, 2, 3):
-        E, F = cu.make_E(n), cu.make_F(n)
+        E, F = cu.letter_complex(n, "E"), cu.letter_complex(n, "F")
         s = kz.kclass_add(
             cx.k0_class(cu.rho(E, F)), cx.k0_class(cu.rho(F, E))
         )
@@ -523,6 +523,9 @@ def test_word_validation():
         cu.Word(("E", "bogus"))
     with pytest.raises(ValueError):
         cu.Word(("E", "F"), ((0, 1), 2))
+    for tree in ((0, 1, 2), ((0, 1, 2),), (0, (1,))):  # a node that is not a pair
+        with pytest.raises(ValueError):
+            cu.Word(("E", "F", "E"), tree)
     w = cu.parse_word("q E q-1")
     assert w.letters == ("Q", "E", "Qinv")
     assert cu.parse_word("EFE").letters == ("E", "F", "E")

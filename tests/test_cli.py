@@ -254,6 +254,7 @@ def test_usage_errors(capsys):
         (["lift", "--n", "2", "--word", "EFE", "--assoc", "(...)"], "unbalanced"),
         (["lift", "--n", "2", "--word", "EFE", "--assoc", ""], "unbalanced"),
         (["multiply", "--n", "3", "--x", "[1,1]", "--y", "[0]"], "repeated element 1"),
+        (["algebra", "--n", "2", "--source", "[x]", "--target", "[]"], "bad vertex syntax"),
     ):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()

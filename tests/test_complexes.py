@@ -298,7 +298,7 @@ def test_section_keeps_rr_degrees(n):
     "bm.tensor_T(cx.projective(cx.RAlgebraOps(2), 0))",
     "cx.tensor_f2(cx.projective(cx.RAlgebraOps(2), 0), cx.projective(cx.RAlgebraOps(3), 0))",
     "cu.rho(cu.letter_complex(2, 'One'), cu.letter_complex(3, 'F'))",
-    "cu.rho(cx.projective(cx.BoxAlgebraOps(2), (0, 0)), cu.make_F(2))",
+    "cu.rho(cx.projective(cx.BoxAlgebraOps(2), (0, 0)), cu.letter_complex(2, 'F'))",
 ])
 def test_invariant_guards_survive_optimize(call):
     # python -O strips assert statements; the guards must raise regardless

@@ -345,6 +345,22 @@ def test_iota_word_fold():
             kz.iota_letter(n, alias)
 
 
+def test_postorder_walks_children_first():
+    assert list(kz.postorder(0)) == [0]
+    tree = ((0, 1), (2, (3, 4)))
+    assert list(kz.postorder(tree)) == [0, 1, (0, 1), 2, 3, 4, (3, 4), (2, (3, 4)), tree]
+
+
+def test_iota_folds_any_depth():
+    # 5,000 nested pairs are far past Python's recursion limit
+    k = 5000
+    left, right = 0, k - 1
+    for i in range(1, k):
+        left, right = (left, i), (k - 1 - i, right)
+    for tree in (left, right):
+        assert kz.iota(2, ("Q",) * k, tree) == kz.kclass(0, LaurentZ.q_power(k))
+
+
 def test_fmt_kclass():
     got = kz.fmt_kclass(kz.higher_mult(2, vx.from_seq((1, 0)), vx.from_seq((2, 1))))
     assert got == "h^-1*[] + q*[1,0] + q^-1*[2,1]"

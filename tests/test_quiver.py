@@ -19,6 +19,10 @@ def test_vertex_seq_round_trip():
         vx.parse("[0,1]")
     with pytest.raises(ValueError):
         vx.parse("[3]", n=2)
+    # elements are ASCII digits only: no int() spellings such as 1_0
+    for text in ("[x]", "[1,,0]", "[1_0]"):
+        with pytest.raises(ValueError, match="bad vertex syntax"):
+            vx.parse(text)
 
 
 def test_euler_alternating():

@@ -78,6 +78,17 @@ print(json.dumps({
 }))
 """
 
+# Runs each benchmark workload for a fixed number of ops at seed 1 and
+# reports its failed-op count and output digest.
+_WORKLOAD_DIGESTS = """
+import json, run, workloads
+out = {}
+for name, n_ops in [("assoc-n5", 200), ("assoc-n10", 200), ("lift-n4", 336), ("box-sweep-n3", 2)]:
+    result = run.run_ops(workloads.WORKLOADS[name][1](1), n_ops=n_ops)
+    out[name] = [result["failed"], result["digest"]]
+print(json.dumps(out))
+"""
+
 
 def test_no_bare_assert_in_package():
     # python -O strips assert statements, so no invariant may rest on one;
@@ -195,3 +206,19 @@ def test_lift_bypass_prediction_holds():
     assert report["corrections"] > 0
     assert report["called"] == report["predicted"]
     assert report["problems"] == []
+
+
+def test_workload_outputs_pinned():
+    # the benchmark's ops give the same outputs as when these digests were
+    # taken (a whole lift-n4 round is 336 ops), so a change that claims
+    # byte-identical output cannot drift unseen
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", _WORKLOAD_DIGESTS], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "assoc-n5": [0, "8ddf8df432f759853e04a710191327bccafd3eacb459244bd9e190a72428440f"],
+        "assoc-n10": [0, "4a2c7d58dd0d282dd76a5d6ea223c1687786f1eb9525a9c60a9419c636f1c313"],
+        "lift-n4": [0, "d9bbed0f0a335b3b50b502ead5f7d1ab71c87808fac1d4c5b4c4ca9dad040213"],
+        "box-sweep-n3": [0, "501f0a730fd5bc384e39eb0777cd5f0762a6b2106bbb8237adaba9e98465f6a4"],
+    }
