@@ -6,7 +6,8 @@ complex, and the wall time of the lift.  Rows run in one process in the
 order printed, so a row reuses the caches (T(x, y), box classes, right
 actions, per-entry maps, sub-lifts) that earlier rows filled.  After the
 rows of each n, one line gives the entry count of each memo of the rho
-pipeline, summed over every n so far, and the summands and entries held by
+pipeline over every n so far (each algebra adapter's memos by name, as
+"RR mult", summed over those n), and the summands and entries held by
 lift_word's sub-lift memo.
 
 Usage: PYTHONPATH=src python scripts/lift_ladder.py
@@ -19,13 +20,13 @@ from cliffcat import bimodule as bm
 from cliffcat import catun as cu
 from cliffcat import complexes as cx
 
-# name -> memo: an lru_cache, or the entry degrees' dict of per-(tag, n) dicts
+# each algebra adapter's memos, by attribute: the entry degrees (a dict)
+# and the products and differential it memoizes (lru_caches)
+ADAPTER_MEMOS = {"R": ("degrees",), "RR": ("degrees", "mult"), "Box": ("degrees", "mult", "diff")}
+
+# name -> the other memos of the rho pipeline, each an lru_cache
 MEMOS = {
-    "entry_degrees": cx._DEGREES,
-    "box_mult": cx._box_mult,
-    "box_diff": cx._box_diff,
     "lift_entry": cx._lift_entry,
-    "rr_mult": cx._rr_mult,
     "side_entry": cx._side_entry,
     "boundary_preimage": cx._boundary_preimage,
     "act_element": bm.act_element,
@@ -36,8 +37,18 @@ MEMOS = {
 
 def _size(memo):
     if isinstance(memo, dict):
-        return sum(map(len, memo.values()))
+        return len(memo)
     return memo.cache_info().currsize
+
+
+def memo_sizes(ns):
+    """(name, entries) of each memo, the adapters' summed over ns."""
+    sizes = [
+        (f"{tag} {attr}", sum(_size(getattr(cx.algebra(tag, n), attr)) for n in ns))
+        for tag, attrs in ADAPTER_MEMOS.items()
+        for attr in attrs
+    ]
+    return sizes + [(name, _size(memo)) for name, memo in MEMOS.items()]
 
 
 def main():
@@ -48,7 +59,7 @@ def main():
             c = cu.lift_word(n, cu.parse_word("EF" * k))
             secs = time.perf_counter() - t0
             print(f"{n:>2} {k:>2} {len(c.summands):>9} {len(c.delta):>9} {secs:>8.3f}")
-        sizes = ", ".join(f"{name} {_size(memo)}" for name, memo in MEMOS.items())
+        sizes = ", ".join(f"{name} {size}" for name, size in memo_sizes(range(3, n + 1)))
         lifts = cu._SUBLIFTS.lifts.values()
         summands = sum(len(c.summands) for c in lifts)
         entries = sum(len(c.delta) for c in lifts)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from . import kzero as kz
 from . import ralgebra as ra
 from . import vertices as vx
-from .complexes import ProjComplex, RAlgebraOps, Summand, mat_add, mat_then, verify_mc
+from .complexes import ProjComplex, Summand, algebra, mat_add, mat_then, verify_mc
 from .quiver import DIAG, YSIDE, apply_arrow
 
 
@@ -54,7 +54,7 @@ def t_pair(n, x, y):
             if entry is None:
                 raise AssertionError(f"no T differential {vx.fmt(mon)} -> {vx.fmt(mon_b)}")
             delta[(j, i)] = frozenset([entry])
-    c = ProjComplex(RAlgebraOps(n), summands, delta)
+    c = ProjComplex(algebra("R", n), summands, delta)
     ok, witness = verify_mc(c)
     if not ok:
         raise AssertionError(f"T{vx.fmt_pair((x, y))} is invalid: {witness}")
@@ -122,7 +122,7 @@ def act_element(n, elem):
     Each monomial folds its generators' entries with mat_then, starting from
     the identity of T(source); the monomials are summed with mat_add.
     Memoized on (n, elem): callers must not mutate the returned dict."""
-    mult = RAlgebraOps(n).mult
+    mult = algebra("R", n).mult
     paths = []
     for at, arrows in elem:
         entries = {
@@ -174,7 +174,7 @@ def assemble_T(n, blocks, shifts, actions):
     delta = {(row + j, col + i): e for row, col, entries in pieces for (j, i), e in entries.items()}
     if len(delta) < sum([len(entries) for _, _, entries in pieces]):
         raise AssertionError("tensor_T pieces overlap: its input breaks the Box contract")
-    out = ProjComplex(RAlgebraOps(n), summands, delta)
+    out = ProjComplex(algebra("R", n), summands, delta)
     ok, witness = verify_mc(out)
     if not ok:
         raise AssertionError(f"tensor functor produced an invalid complex: {witness}")

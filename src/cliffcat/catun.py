@@ -16,10 +16,10 @@ from functools import lru_cache, partial
 from .bimodule import act_element, assemble_T, t_pair, tensor_T
 from .complexes import (
     ProjComplex,
-    RAlgebraOps,
     Summand,
     _lift_entry,
     _side_entry,
+    algebra,
     check_factors,
     lift_to_box,
     tensor_entries,
@@ -41,7 +41,7 @@ def letter_complex(n, letter):
         summands = tuple(Summand(1 << i, 0, 0) for i in range(_PARITIES[letter], n + 1, 2))
     else:
         raise ValueError(f"unknown letter {letter!r}")
-    return ProjComplex(RAlgebraOps(n), summands, {})
+    return ProjComplex(algebra("R", n), summands, {})
 
 
 def rho(m, nc):

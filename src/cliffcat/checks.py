@@ -324,7 +324,7 @@ def _check_pair(n, xy, failures, act):
     of it).  Every map here is over R, where d = 0, so the Leibniz defect
     of f is f then d_target plus d_source then f, and for D_t also the two
     composites X_t.Y_{t+1} and Y_{t+1}.X_t.  Returns the number of checks."""
-    then = partial(cx.mat_then, cx.RAlgebraOps(n).mult)
+    then = partial(cx.mat_then, cx.algebra("R", n).mult)
     source = bm.t_pair(n, *xy).complex
     checks = 0
     for kind, t, target in qv.box_arrow_targets(n, xy):
@@ -378,7 +378,7 @@ def bimodule_failures(n):
 def unit_law_check(n, c):
     """rho(c, P([])) and rho(P([]), c) equal c, summand for summand and entry
     for entry."""
-    unit = cx.projective(cx.RAlgebraOps(n), 0)
+    unit = cx.projective(cx.algebra("R", n), 0)
     failures = []
     for side, got in (("right", cu.rho(c, unit)), ("left", cu.rho(unit, c))):
         if got.summands != c.summands or got.delta != c.delta:

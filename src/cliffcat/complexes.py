@@ -9,7 +9,7 @@ contract cohdeg(entry) + b_j - b_i = 1 and qdeg(entry) = a_j - a_i.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import gf2
@@ -28,8 +28,15 @@ class LiftError(Exception):
 # uniform algebra operations
 
 
-# Each ops object binds mult and diff to n as partials over the module-level
-# kernels and memos, so the matrix kernels call them without a method frame.
+# algebra(tag, n) makes the one adapter of each algebra and n, shared by
+# every complex over it, and each adapter owns its memos: degrees (entry ->
+# (qdeg, cohdeg, source, target)), the products of RR and Box and the Box
+# differential; a word lift meets few distinct entries, each many times.
+# Entries are frozensets, which cache their hashes, and every result is
+# immutable.  An adapter lives for the whole process, so its products and
+# differential look up their kernel when called, never when it is made: a
+# tracer that later rebinds ra.mult_r, ra.mult_rr or BoxAlgebra.mult or
+# .diff still sees the calls.
 
 
 class RAlgebraOps:
@@ -37,14 +44,14 @@ class RAlgebraOps:
 
     def __init__(self, n):
         self.n = n
-        self.mult = partial(ra.mult_r, n)
+        self.degrees = _DegreeMemo(self)
 
-    def degrees(self, m):
+    def mult(self, a, b):
+        return ra.mult_r(self.n, a, b)
+
+    def mono_degrees(self, m):
         """(qdeg, cohdeg, source, target) of a monomial."""
         return ra.mono_qdeg_r(self.n, m), 0, m[0], m[1]
-
-    def diff(self, a):
-        return frozenset()
 
     def mono_json(self, m):
         return [list(vx.seq(m[0])), list(vx.seq(m[1]))]
@@ -69,20 +76,19 @@ class RRAlgebraOps:
 
     def __init__(self, n):
         self.n = n
-        self.mult = partial(_rr_mult, n)
+        self.degrees = _DegreeMemo(self)
+        self.mult = lru_cache(maxsize=None)(lambda a, b: ra.mult_rr(n, a, b))
 
-    def degrees(self, m):
+    def mono_degrees(self, m):
         left, right = m
         qdeg = ra.mono_qdeg_r(self.n, left) + ra.mono_qdeg_r(self.n, right)
         return qdeg, 0, (left[0], right[0]), (left[1], right[1])
-
-    diff = RAlgebraOps.diff
 
     def mono_json(self, m):
         return [[list(vx.seq(e)) for e in m[0]], [list(vx.seq(e)) for e in m[1]]]
 
     def mono_from_json(self, data):
-        side = RAlgebraOps(self.n)
+        side = algebra("R", self.n)
         return tuple(side.mono_from_json(m) for m in _pair(data, "RR monomial"))
 
     def vertex_json(self, v):
@@ -101,10 +107,11 @@ class BoxAlgebraOps:
     def __init__(self, n):
         self.n = n
         self.algebra = box_algebra(n)
-        self.mult = partial(_box_mult, n)
-        self.diff = partial(_box_diff, n)
+        self.degrees = _DegreeMemo(self)
+        self.mult = lru_cache(maxsize=None)(lambda a, b: box_algebra(n).mult(a, b))
+        self.diff = lru_cache(maxsize=None)(lambda a: box_algebra(n).diff(a))
 
-    def degrees(self, m):
+    def mono_degrees(self, m):
         arrows = m[1]
         qdeg, cohdeg = self.algebra.qdeg(arrows), self.algebra.cohdeg(arrows)
         return qdeg, cohdeg, m[0], path_target(m[0], arrows)
@@ -136,30 +143,30 @@ class BoxAlgebraOps:
         return fmt_mono_box(m)
 
 
-# Box and RR products and Box differentials are memoized on (n, entry), as
-# is lift_to_box's section; entry degrees are memoized in one dict per
-# (tag, n), and tensor_f2 takes its side entries from a memo: a word lift
-# meets few distinct entries, each many times.  Entries are frozensets,
-# which cache their hashes, so an entry that one memo returns is found at
-# once in the next; every result is immutable.
+class _DegreeMemo(dict):
+    """Entry -> (qdeg, cohdeg, source, target) over one algebra.  A miss
+    computes and stores the degrees; a mixed entry raises ValueError and is
+    not stored."""
 
+    def __init__(self, ops):
+        super().__init__()
+        self.ops = ops
 
-@lru_cache(maxsize=None)
-def _box_mult(n, a, b):
-    return box_algebra(n).mult(a, b)
-
-
-@lru_cache(maxsize=None)
-def _rr_mult(n, a, b):
-    return ra.mult_rr(n, a, b)
-
-
-@lru_cache(maxsize=None)
-def _box_diff(n, a):
-    return box_algebra(n).diff(a)
+    def __missing__(self, e):
+        degs = {self.ops.mono_degrees(m) for m in e}
+        if len(degs) != 1:
+            raise ValueError(f"inhomogeneous entry: {sorted(map(self.ops.fmt_mono, e))}")
+        self[e] = out = next(iter(degs))
+        return out
 
 
 _OPS = {"R": RAlgebraOps, "RR": RRAlgebraOps, "Box": BoxAlgebraOps}
+
+
+@lru_cache(maxsize=None)
+def algebra(tag, n):
+    """The one adapter of the algebra tag ("R", "RR" or "Box") at n."""
+    return _OPS[tag](n)
 
 
 # ---------------------------------------------------------------------------
@@ -194,38 +201,6 @@ def projective(ops, v, qshift=0, cohshift=0):
     return ProjComplex(ops, (Summand(v, qshift, cohshift),), {})
 
 
-class _DegreeMemo(dict):
-    """Entry -> (qdeg, cohdeg, source, target) over one algebra.  A miss
-    computes and stores the degrees; a mixed entry raises ValueError and is
-    not stored."""
-
-    def __init__(self, ops):
-        super().__init__()
-        self.ops = ops
-
-    def __missing__(self, e):
-        degs = {self.ops.degrees(m) for m in e}
-        if len(degs) != 1:
-            raise ValueError(f"inhomogeneous entry: {sorted(map(self.ops.fmt_mono, e))}")
-        self[e] = out = next(iter(degs))
-        return out
-
-
-_DEGREES = {}  # (tag, n) -> _DegreeMemo: the one memo of entry degrees
-
-
-def _degree_memo(ops):
-    memo = _DEGREES.get((ops.tag, ops.n))
-    if memo is None:
-        memo = _DEGREES[(ops.tag, ops.n)] = _DegreeMemo(ops)
-    return memo
-
-
-def entry_degrees(ops, e):
-    """(qdeg, cohdeg, source, target) of a homogeneous element; raises if mixed."""
-    return _degree_memo(ops)[e]
-
-
 # ---------------------------------------------------------------------------
 # the sparse-matrix kernel: differentials and chain-map entries are
 # {(row, col): F2 element}, the (j, i) entry mapping summand i to summand j.
@@ -257,22 +232,12 @@ def mat_then(mult, a, b):
     return {key: e for key, e in out.items() if e}
 
 
-def mat_diff(diff, a):
-    """Entrywise differential."""
-    out = {}
-    for key, e in a.items():
-        de = diff(e)
-        if de:
-            out[key] = de
-    return out
-
-
 def map_violation(source, target, entries, degree):
     """The first entry out of range, inhomogeneous, off its endpoints or off
     the (q, coh) degree, as a witness string; None if every entry keeps it.
     An entry (j, i) has degree (qdeg + a_i - a_j, cohdeg + b_j - b_i) for
     source summand i = P(v_i){a_i}[b_i] and target summand j."""
-    degrees = _degree_memo(source.ops)
+    degrees = source.ops.degrees
     qdeg, cohdeg = degree
     sources, targets = source.summands, target.summands
     ni, nj = len(sources), len(targets)
@@ -298,7 +263,8 @@ def delta_square(c):
     """Entries of d(delta) + delta*delta, as {(j, i): elem}; d = 0 over R and RR."""
     square = mat_then(c.ops.mult, c.delta, c.delta)
     if c.ops.tag == "Box":
-        square = mat_add(mat_diff(c.ops.diff, c.delta), square)
+        diff = c.ops.diff
+        square = mat_add({key: diff(e) for key, e in c.delta.items()}, square)
     return square
 
 
@@ -375,7 +341,7 @@ def tensor_f2(m, nc):
         for v2, a2, b2 in nc.summands
     ])
     delta = {(j, i): e for j, i, e in tensor_entries(m, nc, _side_entry)}
-    return ProjComplex(RRAlgebraOps(m.ops.n), summands, delta)
+    return ProjComplex(algebra("RR", m.ops.n), summands, delta)
 
 
 def check_factors(m, nc):
@@ -443,7 +409,7 @@ def lift_to_box(c):
     if c.ops.tag != "RR":
         raise AssertionError(f"lift_to_box needs a tensor-square complex, got {c.ops.tag}")
     n = c.ops.n
-    ops = BoxAlgebraOps(n)
+    ops = algebra("Box", n)
     delta = {key: _lift_entry(n, e) for key, e in c.delta.items()}
     out = ProjComplex(ops, c.summands, delta)
     square = delta_square(c)
@@ -477,7 +443,7 @@ def _boundary_preimage(n, e):
     the contract, so every residual entry between summands i and k has
     degree (a_k - a_i, 2 - b_k + b_i) from v_i to v_k."""
     alg = box_algebra(n)
-    _, cd, src, tgt = entry_degrees(BoxAlgebraOps(n), e)
+    _, cd, src, tgt = algebra("Box", n).degrees[e]
     basis = alg.hom_basis(src, tgt, cohdeg=cd - 1)
     index = {(src, p): k for k, p in enumerate(alg.hom_basis(src, tgt, cohdeg=cd))}
 
@@ -561,7 +527,7 @@ def complex_from_json(data):
         raise ValueError(f"n must be positive, got {n}")
     if n > vx.MAX_N:
         raise ValueError(f"n must be at most {vx.MAX_N}, got {n}")
-    ops = _OPS[tag](n)
+    ops = algebra(tag, n)
     summands = tuple(
         Summand(
             ops.vertex_from_json(_field(s, "vertex", "summand")),

@@ -150,8 +150,9 @@ def test_rho_refuses_cancelling_loops():
 
 
 def test_delta_square_skips_zero_differential(monkeypatch):
-    # over R and RR, d = 0 and delta_square is the product alone; the full
-    # formula d(delta) + delta*delta is its oracle, on squares zero and not.
+    # over R and RR, d = 0 and delta_square is the product alone, on
+    # squares zero and not: both algebras sit in cohomological degree 0, so
+    # every entry has cohdeg 0 and its differential, of cohdeg 1, is zero.
     # The sweep takes LIFT_WORDS: only their two-sided steps build a tensor
     # square, and WORDS alone has none
     loop_v, loop_w = _identity_loops()
@@ -176,10 +177,8 @@ def test_delta_square_skips_zero_differential(monkeypatch):
     assert any(cx.delta_square(c) for c in complexes)
     for c in complexes:
         ops = c.ops
-        full = cx.mat_add(
-            cx.mat_diff(ops.diff, c.delta), cx.mat_then(ops.mult, c.delta, c.delta)
-        )
-        assert cx.delta_square(c) == full
+        assert all(ops.degrees[e][1] == 0 for e in c.delta.values())
+        assert cx.delta_square(c) == cx.mat_then(ops.mult, c.delta, c.delta)
 
 
 # Box products are only met where both factors of a rho step have a
@@ -263,52 +262,60 @@ def test_long_word_adds_one_key_per_node(monkeypatch):
 
 
 # every memo that a rho step passes its entries through, besides the
-# entry degrees (cx._DEGREES, one dict per algebra tag and n)
+# entry degrees (each adapter's degrees dict): RHO_MEMOS by module
+# attribute, ADAPTER_MEMOS by adapter attribute
 RHO_MEMOS = [
-    (cx, "_box_mult"),
-    (cx, "_box_diff"),
     (cx, "_lift_entry"),
-    (cx, "_rr_mult"),
     (cx, "_side_entry"),
     (cx, "_boundary_preimage"),
     (bm, "act_element"),
     (cu, "_side_action"),
 ]
+ADAPTER_MEMOS = [("RR", "mult"), ("Box", "mult"), ("Box", "diff")]
 
 
 def test_rho_memos_match_fresh_computation(monkeypatch):
     # every word in WORDS under every tree at n <= 3: each memoized value a
     # lift reads equals a fresh computation, and lifting twice gives the same
     # JSON, so no caller mutates a cached object.  The degree memos start
-    # empty, and each degree a lift stored is a fresh computation too.
-    monkeypatch.setattr(cx, "_DEGREES", {})
+    # empty (cleared on the shared adapters), and each degree a lift stored
+    # is a fresh computation too.
+    ns = (1, 2, 3)
+    adapters = [cx.algebra(tag, n) for tag in cx._OPS for n in ns]
+    for ops in adapters:
+        ops.degrees.clear()
+    holders = [(mod, name, name) for mod, name in RHO_MEMOS]
+    holders += [(cx.algebra(tag, n), name, f"{tag} {name} n={n}")
+                for tag, name in ADAPTER_MEMOS for n in ns]
     memos, seen = {}, {}
-    for mod, name in RHO_MEMOS:
-        memo = memos[name] = getattr(mod, name)
-        calls = seen[name] = {}
+    for holder, name, label in holders:
+        memo = memos[label] = getattr(holder, name)
+        calls = seen[label] = {}
 
         def record(*args, memo=memo, calls=calls):
             calls[args] = out = memo(*args)
             return out
 
-        monkeypatch.setattr(mod, name, record)
-    for n in (1, 2, 3):
+        monkeypatch.setattr(holder, name, record)
+    for n in ns:
         for w in LIFT_WORDS:
             for tree in ck.all_trees(0, len(w)):
                 word = cu.Word(w, tree)
                 first = json.dumps(cx.complex_to_json(cu.lift_word(n, word)))
                 second = json.dumps(cx.complex_to_json(cu.lift_word(n, word)))
                 assert first == second, (n, w, tree)
-    for name, calls in seen.items():
-        assert calls, f"no lift read {name}"
-        fresh = memos[name].__wrapped__
+    for _, name in RHO_MEMOS:
+        assert seen[name], f"no lift read {name}"
+    for tag, name in ADAPTER_MEMOS:
+        assert any(seen[f"{tag} {name} n={n}"] for n in ns), f"no lift read {tag} {name}"
+    for label, calls in seen.items():
+        fresh = memos[label].__wrapped__
         for args, out in calls.items():
-            assert out == fresh(*args), (name, args)
-    assert {tag for tag, _ in cx._DEGREES} == {"R", "Box"}
-    for (tag, n), memo in cx._DEGREES.items():
-        ops = cx._OPS[tag](n)
-        for e, degs in memo.items():
-            assert {ops.degrees(m) for m in e} == {degs}, (tag, n, e)
+            assert out == fresh(*args), (label, args)
+    assert {ops.tag for ops in adapters if ops.degrees} == {"R", "Box"}
+    for ops in adapters:
+        for e, degs in ops.degrees.items():
+            assert {ops.mono_degrees(m) for m in e} == {degs}, (ops.tag, ops.n, e)
 
 
 def test_rho_builds_normalized_complexes(monkeypatch):
@@ -333,10 +340,12 @@ def test_rho_builds_normalized_complexes(monkeypatch):
         verts = vx.all_vertices(n)
         built += [bm.t_pair(n, x, y).complex for x in verts for y in verts]
         built += [cu.letter_complex(n, letter) for letter in cu.LETTERS]
-        built += [cx.projective(cx.RAlgebraOps(n), 0), cx.projective(cx.BoxAlgebraOps(n), (0, 0))]
+        built += [cx.projective(cx.algebra("R", n), 0), cx.projective(cx.algebra("Box", n), (0, 0))]
     for c in built:
         assert type(c.summands) is tuple
         assert all(type(e) is frozenset and e for e in c.delta.values())
+        # every complex over one algebra and n shares its adapter
+        assert c.ops is cx.algebra(c.ops.tag, c.ops.n)
 
 
 def _rho_steps(words, ns):
@@ -388,7 +397,7 @@ def test_one_sided_lifts_match_corrected_path(no_sublift_memo):
 def test_one_sided_step_skips_both_squares(monkeypatch):
     # on warm caches a one-sided rho step builds no tensor square and no
     # lift, and multiplies no RR and no Box entries: no tensor_f2,
-    # lift_to_box, _rr_mult or mat_then call, so a silent fall back to the
+    # lift_to_box, RR product or mat_then call, so a silent fall back to the
     # corrected path shows; a two-sided step makes all four
     n = 3
     EF = cu.lift_word(n, cu.parse_word("EF"))
@@ -396,16 +405,16 @@ def test_one_sided_step_skips_both_squares(monkeypatch):
     for pair in one_sided:
         cu.rho(*pair)  # fill the t_pair and per-entry caches
     calls = []
-    for mod, name in ((cu, "tensor_f2"), (cu, "lift_to_box"), (cx, "_rr_mult"),
-                      (cx, "mat_then"), (bm, "mat_then")):
-        real = getattr(mod, name)
+    for holder, name in ((cu, "tensor_f2"), (cu, "lift_to_box"), (cx.algebra("RR", n), "mult"),
+                         (cx, "mat_then"), (bm, "mat_then")):
+        real = getattr(holder, name)
         monkeypatch.setattr(
-            mod, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+            holder, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     for pair in one_sided:
         cu.rho(*pair)
     assert EF.delta and calls == []
     cu.rho(EF, EF)
-    assert set(calls) == {"tensor_f2", "lift_to_box", "mat_then", "_rr_mult"}
+    assert set(calls) == {"tensor_f2", "lift_to_box", "mat_then", "mult"}
 
 
 def test_parity_square_names_rr_monomials():

@@ -277,7 +277,7 @@ def test_cached_box_degrees_match_sums(n):
             sum(arrow_qdeg(n, kind, s) for kind, s in arrows),
             -sum(kind == DIAG for kind, _ in arrows),
         )
-        assert ops.degrees(m)[:2] == cx.entry_degrees(ops, frozenset([m]))[:2] == sums
+        assert ops.mono_degrees(m)[:2] == ops.degrees[frozenset([m])][:2] == sums
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -290,7 +290,7 @@ def test_section_keeps_rr_degrees(n):
     verts = vx.all_vertices(n)
     monos = [m for x in verts for w in verts if (m := ra.basis_mon_r(n, x, w)) is not None]
     for m in product(monos, repeat=2):
-        assert box.degrees(box.algebra.section_rr(m)) == rr.degrees(m), m
+        assert box.mono_degrees(box.algebra.section_rr(m)) == rr.mono_degrees(m), m
 
 
 @pytest.mark.parametrize("call", [
@@ -334,6 +334,10 @@ def test_json_round_trip_all_tags():
         assert back.summands == c.summands
         assert back.delta == c.delta
         assert back.ops.tag == c.ops.tag
+        # the decoder, like tensor_f2 and lift_to_box, takes the one shared
+        # adapter of its algebra and n
+        assert back.ops is cx.algebra(c.ops.tag, c.ops.n)
+        assert c is r or c.ops is back.ops
         # an empty entry is zero, and the decoder drops it
         data["delta"].append({"row": 0, "col": 0, "monomials": []})
         assert cx.complex_from_json(data).delta == c.delta

@@ -87,7 +87,7 @@ def test_cached_qdeg_matches_path_sum():
                 if ra.basis_mon_r(n, x, w) is None:
                     continue
                 sums = {sum(n - 1 - 2 * s for s in p) for p in ra._paths(n, x, w)}
-                cached = cx.entry_degrees(ops, frozenset([(x, w)]))[0]
+                cached = ops.degrees[frozenset([(x, w)])][0]
                 assert sums == {ra.mono_qdeg_r(n, (x, w))} == {cached}
 
 
