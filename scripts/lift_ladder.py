@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Print the word-lift ladder: the lift of EF repeated k times, n = 3..5.
 
-Each row gives n, k, the summands and differential entries of the lifted
-complex, and the wall time of the lift.  Rows run in one process in the
-order printed, so a row reuses the caches (T(x, y), box classes, right
-actions, per-entry maps, sub-lifts) that earlier rows filled.  After the
+Each row gives n, the word, its association tree ("left" for the left
+fold, else the association string), the summands and differential entries
+of the lifted complex, and the wall time of the lift.  After the left folds
+of EF repeated k = 1..4 times, whose rho steps are all one-sided, each n
+lifts EFFE under ((..)(..)), whose last step is two-sided and takes a
+correction, so the memos of the two-sided path fill too.  Rows run in one
+process in the order printed, so a row reuses the caches (T(x, y), box
+classes, right actions, per-entry maps, sub-lifts) that earlier rows
+filled.  After the
 rows of each n, one line gives the entry count of each memo of the rho
 pipeline over every n so far (each algebra adapter's memos by name, as
 "RR mult", summed over those n), and the summands and entries held by
@@ -30,7 +35,9 @@ MEMOS = {
     "side_entry": cx._side_entry,
     "boundary_preimage": cx._boundary_preimage,
     "act_element": bm.act_element,
+    "side_lift": cu._side_lift,
     "side_action": cu._side_action,
+    "cross_correction": cu._cross_correction,
     "t_pair": bm.t_pair,
 }
 
@@ -51,14 +58,19 @@ def memo_sizes(ns):
     return sizes + [(name, _size(memo)) for name, memo in MEMOS.items()]
 
 
+# (word, association string or None for the left fold), lifted at each n
+ROWS = [("EF" * k, None) for k in range(1, 5)] + [("EFFE", "((..)(..))")]
+
+
 def main():
-    print(f"{'n':>2} {'k':>2} {'summands':>9} {'delta':>9} {'seconds':>8}")
+    print(f"{'n':>2} {'word':>8} {'tree':>10} {'summands':>9} {'delta':>9} {'seconds':>8}")
     for n in range(3, 6):
-        for k in range(1, 5):
+        for word, assoc in ROWS:
             t0 = time.perf_counter()
-            c = cu.lift_word(n, cu.parse_word("EF" * k))
+            c = cu.lift_word(n, cu.parse_word(word, assoc))
             secs = time.perf_counter() - t0
-            print(f"{n:>2} {k:>2} {len(c.summands):>9} {len(c.delta):>9} {secs:>8.3f}")
+            print(f"{n:>2} {word:>8} {assoc or 'left':>10} {len(c.summands):>9} "
+                  f"{len(c.delta):>9} {secs:>8.3f}")
         sizes = ", ".join(f"{name} {size}" for name, size in memo_sizes(range(3, n + 1)))
         lifts = cu._SUBLIFTS.lifts.values()
         summands = sum(len(c.summands) for c in lifts)

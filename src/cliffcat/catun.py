@@ -15,15 +15,8 @@ from functools import lru_cache, partial
 
 from .bimodule import act_element, assemble_T, t_pair, tensor_T
 from .complexes import (
-    ProjComplex,
-    Summand,
-    _lift_entry,
-    _side_entry,
-    algebra,
-    check_factors,
-    lift_to_box,
-    tensor_entries,
-    tensor_f2,
+    LiftError, ProjComplex, Summand, _lift_entry, _side_entry, algebra, check_factors,
+    lift_to_box, mat_add, mat_then, tensor_entries, tensor_f2, tensor_summands,
 )
 from .kzero import postorder
 
@@ -50,11 +43,12 @@ def rho(m, nc):
 
     A one-sided step, where one input moves no vertex, skips the tensor
     square and its lift: _rho_one_sided writes the T blocks straight from
-    the inputs.  Inputs are checked by check_factors (LiftError), the output
-    by assemble_T's verify_mc, and a corrected lift by lift_to_box."""
+    the inputs; _rho_two_sided corrects the lift per pair of entries.
+    Inputs are checked by check_factors (LiftError), the output by
+    assemble_T's verify_mc, and a corrected lift by _rho_two_sided."""
     if _one_sided(m, nc):
         return _rho_one_sided(m, nc)
-    return tensor_T(lift_to_box(tensor_f2(m, nc)))
+    return _rho_two_sided(m, nc)
 
 
 def _one_sided(m, nc):
@@ -82,11 +76,57 @@ def _rho_one_sided(m, nc):
     return assemble_T(n, blocks, shifts, tensor_entries(m, nc, partial(_side_action, n)))
 
 
+def _rho_two_sided(m, nc):
+    """tensor_T of the tensor square's lift, built over Box with no RR complex.
+
+    The lift's residual is zero at keys two steps away on one side (the
+    section of the RR square).  At the cross key of left entry e = (j, i)
+    and right entry f = (j2, i2), its two paths read e and f alone, so
+    _cross_correction corrects it; c*delta + delta*c + c*c is checked here.
+    A refused pair re-lifts the whole square for lift_to_box's witness."""
+    check_factors(m, nc)
+    n, w = m.ops.n, len(nc.summands)
+    ops = algebra("Box", n)
+    delta = {(j, i): e for j, i, e in tensor_entries(m, nc, partial(_side_lift, n))}
+    try:
+        corrections = {
+            (j * w + j2, i * w + i2): c
+            for (j, i), e in m.delta.items() for (j2, i2), f in nc.delta.items()
+            if (c := _cross_correction(n, e, f)) is not None
+        }
+    except LiftError:
+        lift_to_box(tensor_f2(m, nc))
+        raise
+    if corrections:
+        full = delta | corrections
+        square = mat_add(mat_then(ops.mult, corrections, full), mat_then(ops.mult, delta, corrections))
+        if square:
+            raise LiftError(f"d(delta)+delta^2 nonzero at {min(square)} over Box")
+        delta = full
+    return tensor_T(ProjComplex(ops, tensor_summands(m, nc), delta))
+
+
+@lru_cache(maxsize=None)
+def _side_lift(n, e, v, left):
+    """e (x) 1_v (left) or 1_v (x) e lifted through the section, as lift_to_box does."""
+    return _lift_entry(n, _side_entry(e, v, left))
+
+
 @lru_cache(maxsize=None)
 def _side_action(n, e, v, left):
-    """The action on T blocks of the side entry e (x) 1_v (left) or 1_v (x) e
-    lifted through the section, as lift_to_box lifts it."""
-    return act_element(n, _lift_entry(n, _side_entry(e, v, left)))
+    """The action on T blocks of _side_lift's entry."""
+    return act_element(n, _side_lift(n, e, v, left))
+
+
+@lru_cache(maxsize=None)
+def _cross_correction(n, e, f):
+    """The correction at the cross key of left entry e and right entry f, or
+    None: the corner (3, 0) of lift_to_box(tensor_f2(P_e, P_f)), where
+    P_e = P(x){0}[0] -> P(w){qdeg e}[1] for e from x to w."""
+    ops = algebra("R", n)
+    arrows = [ProjComplex(ops, (Summand(x, 0, 0), Summand(w, q, 1)), {(1, 0): a})
+              for a in (e, f) for q, _, x, w in [ops.degrees[a]]]
+    return lift_to_box(tensor_f2(*arrows)).delta.get((3, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -330,18 +330,22 @@ def k0_class(c):
 def tensor_f2(m, nc):
     """Tensor two complexes over R into one over the tensor square.
 
-    The summand P(v_i) (x) P(w_j) sits at i * w + j, w = len(nc.summands),
-    and the differential is tensor_entries' with the side entries
-    e (x) 1_v and 1_v (x) e.  Both inputs are checked by check_factors."""
+    Summands as tensor_summands, the differential as tensor_entries with the
+    side entries e (x) 1_v and 1_v (x) e; check_factors checks both inputs.
+    Kernel of rho's per-pair lift, and on whole inputs its test oracle."""
     check_factors(m, nc)
+    delta = {(j, i): e for j, i, e in tensor_entries(m, nc, _side_entry)}
+    return ProjComplex(algebra("RR", m.ops.n), tensor_summands(m, nc), delta)
+
+
+def tensor_summands(m, nc):
+    """P(v_i) (x) P(w_j) at i * w + j, w = len(nc.summands), shifts added."""
     new = tuple.__new__
-    summands = tuple([
+    return tuple([
         new(Summand, ((v1, v2), a1 + a2, b1 + b2))
         for v1, a1, b1 in m.summands
         for v2, a2, b2 in nc.summands
     ])
-    delta = {(j, i): e for j, i, e in tensor_entries(m, nc, _side_entry)}
-    return ProjComplex(algebra("RR", m.ops.n), summands, delta)
 
 
 def check_factors(m, nc):
@@ -402,9 +406,9 @@ def lift_to_box(c):
     q-degrees are forced by endpoints), which keeps the contract, so only
     the corrected square is checked.  Raises LiftError if d(delta) +
     delta^2 != 0 over RR, if some residual entry is not a boundary, or if
-    the corrected square is nonzero.  catun.rho sends only two-sided steps
-    here (both factors move some vertex); on a one-sided input the residual
-    is zero, and this is the test oracle of rho's direct path.
+    the corrected square is nonzero.  catun._cross_correction lifts each
+    pair of entries of a two-sided rho step here; on a whole tensor square
+    this is the test oracle of both of rho's paths.
     """
     if c.ops.tag != "RR":
         raise AssertionError(f"lift_to_box needs a tensor-square complex, got {c.ops.tag}")

@@ -14,6 +14,7 @@ from cliffcat import ralgebra as ra
 from cliffcat import vertices as vx
 import cliffcat.bimodule as bm
 import cliffcat.complexes as cx
+from cliffcat.quiver import DIAG
 
 
 def test_make_EF():
@@ -108,24 +109,38 @@ def test_rho_rejects_invalid_input(defect):
         cu.rho(bad, bad)
 
 
+def _corrections(c):
+    """The keys of the D-bearing entries of a Box complex: a rho step's
+    corrections, since its side entries lift to X-only or Y-only paths."""
+    return [key for key, e in c.delta.items()
+            if any(kind == DIAG for _, arrows in e for kind, _ in arrows)]
+
+
+def _record_boxes(monkeypatch):
+    """The Box complexes that two-sided rho steps hand to tensor_T."""
+    real, boxes = cu.tensor_T, []
+    monkeypatch.setattr(cu, "tensor_T", lambda c: boxes.append(c) or real(c))
+    return boxes
+
+
 def test_rho_checks_contract_twice(monkeypatch):
     # on warm caches one rho step checks the degree contract at two points:
     # on both R inputs in check_factors, and on the output in assemble_T's
     # verify_mc; three calls, never over RR or Box.  This holds one-sided
     # (E, F), two-sided without correction (EF, EF) and two-sided with one
-    # correction (EF, FE)
+    # correction (EF, FE), whose per-pair lifts are memoized
     E, F = cu.letter_complex(3, "E"), cu.letter_complex(3, "F")
     EF, FE = cu.rho(E, F), cu.rho(F, E)
-    cu.rho(EF, EF), cu.rho(EF, FE)  # fill the t_pair and per-entry caches
-    real_correction, real = cx._correction, cx.contract_violation
+    cu.rho(EF, EF), cu.rho(EF, FE)  # fill the t_pair, per-entry and per-pair caches
+    real = cx.contract_violation
     for pair, corrected in (((E, F), 0), ((EF, EF), 0), ((EF, FE), 1)):
         assert cu._one_sided(*pair) == (pair == (E, F))
-        calls, corrections = [], []
+        calls = []
         monkeypatch.setattr(cx, "contract_violation", lambda c: calls.append(c) or real(c))
-        monkeypatch.setattr(
-            cx, "_correction", lambda *a: corrections.append(a) or real_correction(*a))
-        out = cu.rho(*pair)
-        assert len(corrections) == corrected
+        with monkeypatch.context() as mp:
+            boxes = _record_boxes(mp)
+            out = cu.rho(*pair)
+        assert sum(len(_corrections(c)) for c in boxes) == corrected
         assert len(calls) == 3 and all(c is x for c, x in zip(calls, (*pair, out)))
 
 
@@ -269,7 +284,9 @@ RHO_MEMOS = [
     (cx, "_side_entry"),
     (cx, "_boundary_preimage"),
     (bm, "act_element"),
+    (cu, "_side_lift"),
     (cu, "_side_action"),
+    (cu, "_cross_correction"),
 ]
 ADAPTER_MEMOS = [("RR", "mult"), ("Box", "mult"), ("Box", "diff")]
 
@@ -366,6 +383,15 @@ def _rho_steps(words, ns):
     return met
 
 
+def _distinct(steps):
+    """The rho steps (n, m, nc) with distinct n and inputs, one of each."""
+    return {
+        (n, m.summands, frozenset(m.delta.items()), nc.summands, frozenset(nc.delta.items())):
+        (n, m, nc)
+        for n, m, nc in steps
+    }.values()
+
+
 def test_one_sided_lifts_match_corrected_path(no_sublift_memo):
     # every E/F word of 2-5 letters under every tree at n = 2..4 makes 6,024
     # one-sided rho steps and 180 two-sided ones.  On each distinct
@@ -376,13 +402,7 @@ def test_one_sided_lifts_match_corrected_path(no_sublift_memo):
     met = _rho_steps(words, (2, 3, 4))
     one_sided = [(n, m, nc) for n, m, nc in met if cu._one_sided(m, nc)]
     assert (len(one_sided), len(met) - len(one_sided)) == (6024, 180)
-    distinct = {
-        (n, m.summands, frozenset(m.delta.items()), nc.summands, frozenset(nc.delta.items())):
-        (m, nc)
-        for n, m, nc in one_sided
-    }
-    for key, (m, nc) in distinct.items():
-        n = key[0]
+    for n, m, nc in _distinct(one_sided):
         square = cx.tensor_f2(m, nc)
         assert cx.delta_square(square) == {}
         plain = {k: cx._lift_entry(n, e) for k, e in square.delta.items()}
@@ -394,11 +414,44 @@ def test_one_sided_lifts_match_corrected_path(no_sublift_memo):
         assert fast.summands == slow.summands and fast.delta == slow.delta
 
 
+def test_two_sided_lifts_match_corrected_path(no_sublift_memo):
+    # the 180 two-sided rho steps of the same sweep.  On each distinct one
+    # the whole square's lift has its residual only at cross keys, the keys
+    # (j*w + j2, i*w + i2) of a left entry (j, i) and a right entry
+    # (j2, i2); its corrections are the per-pair ones; and the per-pair
+    # path's output equals tensor_T(lift_to_box(tensor_f2(m, nc))).
+    words = [w for k in range(2, 6) for w in product("EF", repeat=k)]
+    two_sided = [(n, m, nc) for n, m, nc in _rho_steps(words, (2, 3, 4))
+                 if not cu._one_sided(m, nc)]
+    assert len(two_sided) == 180
+    corrected = 0
+    for n, m, nc in _distinct(two_sided):
+        w = len(nc.summands)
+        square = cx.tensor_f2(m, nc)
+        plain = {k: cx._lift_entry(n, e) for k, e in square.delta.items()}
+        residual = cx.delta_square(cx.ProjComplex(cx.algebra("Box", n), square.summands, plain))
+        cross = {
+            (j * w + j2, i * w + i2): cu._cross_correction(n, e, f)
+            for (j, i), e in m.delta.items() for (j2, i2), f in nc.delta.items()
+        }
+        assert set(residual) <= set(cross)
+        lifted = cx.lift_to_box(square)
+        assert {k: e for k, e in lifted.delta.items() if k not in plain} == {
+            k: c for k, c in cross.items() if c is not None}
+        assert {k: lifted.delta[k] for k in plain} == plain
+        corrected += len(lifted.delta) > len(plain)
+        slow = bm.tensor_T(lifted)
+        fast = cu._rho_two_sided(m, nc)
+        assert fast.summands == slow.summands and fast.delta == slow.delta
+    assert corrected
+
+
 def test_one_sided_step_skips_both_squares(monkeypatch):
     # on warm caches a one-sided rho step builds no tensor square and no
     # lift, and multiplies no RR and no Box entries: no tensor_f2,
     # lift_to_box, RR product or mat_then call, so a silent fall back to the
-    # corrected path shows; a two-sided step makes all four
+    # corrected path shows; a two-sided step makes all four on the pairs of
+    # entries it has not lifted before
     n = 3
     EF = cu.lift_word(n, cu.parse_word("EF"))
     one_sided = [(EF, cu.letter_complex(n, "E")), (cu.letter_complex(n, "F"), EF)]
@@ -439,52 +492,42 @@ def test_parity_square_names_rr_monomials():
 
 def test_word_sweep_reaches_corrections(monkeypatch, no_sublift_memo):
     # the catun word sweep lifts the four- and five-letter E/F words, so at
-    # n = 3 it meets 68 two-sided steps, each lifted by lift_to_box, and
-    # takes 58 corrections (4 and 2 of them in the four-letter words)
-    real = cx._correction
-    corrections = []
-    monkeypatch.setattr(cx, "_correction", lambda *a: corrections.append(a) or real(*a))
-    real_lift, two_sided = cu.lift_to_box, []
-    monkeypatch.setattr(cu, "lift_to_box", lambda c: two_sided.append(c) or real_lift(c))
+    # n = 3 it meets 68 two-sided steps and takes 58 corrections (4 and 2
+    # of them in the four-letter words), counted as the D-bearing entries
+    # of the Box complexes handed to tensor_T
+    real, two_sided = cu._rho_two_sided, []
+    monkeypatch.setattr(cu, "_rho_two_sided", lambda m, nc: two_sided.append(m) or real(m, nc))
+    boxes = _record_boxes(monkeypatch)
     assert ck.word_lift_failures(3) == ([], 676)
-    assert (len(two_sided), len(corrections)) == (68, 58)
+    assert len(two_sided) == len(boxes) == 68
+    assert sum(len(_corrections(c)) for c in boxes) == 58
 
 
 def test_lift_without_correction_is_refused(monkeypatch):
     # among the four-letter E/F lifts at n = 3 only EFFE and FEEF under
     # ((0, 1), (2, 3)) take a diagonal correction, and EFEF takes none under
-    # any tree; with no correction, lift_to_box must refuse the lift
+    # any tree; with no correction the lift is refused, at the least key of
+    # the whole Box complex that fails, not at the corner of a pair's lift
     monkeypatch.setattr(cx, "_correction", lambda ops, key, e: frozenset())
     for tree in ck.all_trees(0, 4):
         cu.lift_word(3, cu.Word(tuple("EFEF"), tree))
-    for w in ("EFFE", "FEEF"):
-        with pytest.raises(cx.LiftError, match=r"d\(delta\)\+delta\^2 nonzero at \("):
+    for w, key in (("EFFE", "(7, 1)"), ("FEEF", "(17, 10)")):
+        with pytest.raises(cx.LiftError) as err:
             cu.lift_word(3, cu.Word(tuple(w), ((0, 1), (2, 3))))
+        assert str(err.value) == f"d(delta)+delta^2 nonzero at {key} over Box"
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_one_correction_pass_lifts_five_letter_words(monkeypatch, no_sublift_memo, n):
-    # every five-letter E/F word under every tree: 40 lift_to_box calls take
-    # a correction, and every lift is valid after its one pass
-    real_correction, real_lift = cx._correction, cu.lift_to_box
-    corrections, lifted = [], []
-
-    def correction(*args):
-        corrections.append(args)
-        return real_correction(*args)
-
-    def lift(c):
-        before = len(corrections)
-        lifted.append((out := real_lift(c), len(corrections) > before))
-        return out
-
-    monkeypatch.setattr(cx, "_correction", correction)
-    monkeypatch.setattr(cu, "lift_to_box", lift)
+    # every five-letter E/F word under every tree: 40 two-sided steps take
+    # a correction, and every Box complex handed to tensor_T is valid after
+    # its one pass
+    boxes = _record_boxes(monkeypatch)
     for w in product("EF", repeat=5):
         for tree in ck.all_trees(0, 5):
             cu.lift_word(n, cu.Word(w, tree))
-    assert sum(took for _, took in lifted) == 40
-    for c, _ in lifted:
+    assert sum(bool(_corrections(c)) for c in boxes) == 40
+    for c in boxes:
         ok, witness = cx.verify_mc(c)
         assert ok, witness
 
