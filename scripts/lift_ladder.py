@@ -5,8 +5,9 @@ Each row gives n, the word, its association tree ("left" for the left
 fold, else the association string), the summands and differential entries
 of the lifted complex, and the wall time of the lift.  After the left folds
 of EF repeated k = 1..4 times, whose rho steps are all one-sided, each n
-lifts EFFE under ((..)(..)), whose last step is two-sided and takes a
-correction, so the memos of the two-sided path fill too.  Rows run in one
+lifts EFFE under ((..)(..)), whose last step is two-sided (both inputs
+move a vertex) and takes a correction, so the memos that only such steps
+fill get entries too.  Rows run in one
 process in the order printed, so a row reuses the caches (T(x, y), box
 classes, right actions, per-entry maps, sub-lifts) that earlier rows
 filled.  After the

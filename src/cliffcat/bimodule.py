@@ -10,9 +10,9 @@ on subsets (shift the indices above a cut, perhaps add one), read off the
 memberships of the inserted pair's two neighbors; each entry's factor is the
 basis monomial of R between the two summands it joins, since every Hom-space
 of R is at most one-dimensional.  A boxed element acts by the entries of the
-fold of its generators' maps, which is all tensor_T reads.  The left action
-is componentwise left multiplication.  The bimodule axioms are swept by
-cliffcat.checks.bimodule_failures.
+fold of its generators' maps, which tensor_T places between T blocks.  The
+left action is componentwise left multiplication.  The bimodule axioms are
+swept by cliffcat.checks.bimodule_failures.
 """
 
 from __future__ import annotations
@@ -140,21 +140,11 @@ def act_element(n, elem):
 # the induced functor on complexes over the thickened algebra
 
 
-def tensor_T(c):
-    """Replace each boxed summand by its shifted T block; entries act factor-wise."""
-    if c.ops.tag != "Box":
-        raise AssertionError(f"tensor_T needs a complex over the box algebra, got {c.ops.tag}")
-    n = c.ops.n
-    blocks = [t_pair(n, *s.vertex).complex for s in c.summands]
-    shifts = [(q, k) for _, q, k in c.summands]
-    actions = [(j, i, act_element(n, e)) for (j, i), e in c.delta.items()]
-    return assemble_T(n, blocks, shifts, actions)
-
-
-def assemble_T(n, blocks, shifts, actions):
-    """The complex over R of T blocks: blocks[i] shifted by shifts[i] =
-    (q, k), and the action entries of each (j, i, entries) in the rectangle
-    of blocks j and i.
+def tensor_T(n, blocks, shifts, actions):
+    """The tensor functor's output over R: blocks[i], the T block of a boxed
+    summand, shifted by shifts[i] = (q, k), and the action entries of each
+    (j, i, entries), as act_element gives them, in the rectangle of blocks
+    j and i.
 
     The differential is assembled from pieces (row offset, column offset,
     entries): the differential of each block that has one, and the actions.

@@ -13,10 +13,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .bimodule import act_element, assemble_T, t_pair, tensor_T
+from .bimodule import act_element, t_pair, tensor_T
 from .complexes import (
     LiftError, ProjComplex, Summand, _lift_entry, _side_entry, algebra, check_factors,
-    lift_to_box, mat_add, mat_then, tensor_entries, tensor_f2, tensor_summands,
+    lift_to_box, mat_add, mat_then, tensor_entries, tensor_f2,
 )
 from .kzero import postorder
 
@@ -38,72 +38,48 @@ def letter_complex(n, letter):
 
 
 def rho(m, nc):
-    """The lifted product of two complexes over the base algebra,
-    tensor_T(lift_to_box(tensor_f2(m, nc))).
-
-    A one-sided step, where one input moves no vertex, skips the tensor
-    square and its lift: _rho_one_sided writes the T blocks straight from
-    the inputs; _rho_two_sided corrects the lift per pair of entries.
-    Inputs are checked by check_factors (LiftError), the output by
-    assemble_T's verify_mc, and a corrected lift by _rho_two_sided."""
-    if _one_sided(m, nc):
-        return _rho_one_sided(m, nc)
-    return _rho_two_sided(m, nc)
-
-
-def _one_sided(m, nc):
-    """Whether one input has no entry monomial (x, w) with x != w, as when it
-    has no differential: then every monomial of their tensor square has an
-    idempotent factor on the same side."""
-    for c in (m, nc):
-        if all(x == w for e in c.delta.values() for x, w in e):
-            return True
-    return False
-
-
-def _rho_one_sided(m, nc):
-    """rho of a one-sided step, with no RR or Box complex.
-
-    The tensor square's entries lift to X-only (or Y-only) paths, on which
-    the section is multiplicative and d = 0, so the lift's residual is the
-    section of the RR square, zero for valid inputs: the lift needs no
-    square and no correction, and each entry's action goes straight into
-    the T blocks of its summand pairs, in tensor_f2's order."""
-    check_factors(m, nc)
-    n = m.ops.n
-    blocks = [t_pair(n, x, y).complex for x, _, _ in m.summands for y, _, _ in nc.summands]
-    shifts = [(a1 + a2, b1 + b2) for _, a1, b1 in m.summands for _, a2, b2 in nc.summands]
-    return assemble_T(n, blocks, shifts, tensor_entries(m, nc, partial(_side_action, n)))
-
-
-def _rho_two_sided(m, nc):
-    """tensor_T of the tensor square's lift, built over Box with no RR complex.
+    """The lifted product of two complexes over R: tensor_T of the lift of
+    their tensor square to Box, as tensor_T(lift_to_box(tensor_f2(m, nc)))
+    gives it, written block by block with no RR or Box complex.
 
     The lift's residual is zero at keys two steps away on one side (the
     section of the RR square).  At the cross key of left entry e = (j, i)
-    and right entry f = (j2, i2), its two paths read e and f alone, so
-    _cross_correction corrects it; c*delta + delta*c + c*c is checked here.
-    A refused pair re-lifts the whole square for lift_to_box's witness."""
+    and right entry f = (j2, i2), its two paths read e and f alone, and it
+    is zero unless both move a vertex, so _cross_correction corrects only
+    such pairs; where it places one, c*delta + delta*c + c*c is checked
+    here.  A refused pair re-lifts the whole square for lift_to_box's
+    witness.  Inputs are checked by check_factors, the output by tensor_T."""
     check_factors(m, nc)
     n, w = m.ops.n, len(nc.summands)
-    ops = algebra("Box", n)
-    delta = {(j, i): e for j, i, e in tensor_entries(m, nc, partial(_side_lift, n))}
+    blocks = [t_pair(n, x, y).complex for x, _, _ in m.summands for y, _, _ in nc.summands]
+    shifts = [(a1 + a2, b1 + b2) for _, a1, b1 in m.summands for _, a2, b2 in nc.summands]
+    actions = tensor_entries(m, nc, partial(_side_action, n))
+    left, right = _moving(m), _moving(nc)
     try:
         corrections = {
             (j * w + j2, i * w + i2): c
-            for (j, i), e in m.delta.items() for (j2, i2), f in nc.delta.items()
+            for (j, i), e in left for (j2, i2), f in right
             if (c := _cross_correction(n, e, f)) is not None
         }
     except LiftError:
         lift_to_box(tensor_f2(m, nc))
         raise
     if corrections:
-        full = delta | corrections
-        square = mat_add(mat_then(ops.mult, corrections, full), mat_then(ops.mult, delta, corrections))
+        ops = algebra("Box", n)
+        delta = {(j, i): e for j, i, e in tensor_entries(m, nc, partial(_side_lift, n))}
+        square = mat_add(mat_then(ops.mult, corrections, delta | corrections),
+                         mat_then(ops.mult, delta, corrections))
         if square:
             raise LiftError(f"d(delta)+delta^2 nonzero at {min(square)} over Box")
-        delta = full
-    return tensor_T(ProjComplex(ops, tensor_summands(m, nc), delta))
+        actions += [(j, i, act_element(n, c)) for (j, i), c in corrections.items()]
+    return tensor_T(n, blocks, shifts, actions)
+
+
+def _moving(c):
+    """The entries of a checked complex c over R whose monomial (x, w) has
+    x != w (a checked entry is one basis monomial).  An idempotent entry
+    lifts to the empty path, so its cross keys have no residual."""
+    return [(key, e) for key, e in c.delta.items() for x, w in e if x != w]
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cliffcat import bimodule as bm
 from cliffcat import catun as cu
 
 
@@ -9,12 +10,13 @@ def _clear_lift_memos():
     cu._SUBLIFTS.clear()
     cu._cross_correction.cache_clear()
     cu._side_lift.cache_clear()
+    cu._side_action.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def _fresh_sublifts():
-    # lift_word keeps its sub-lifts across calls, and a two-sided rho step
-    # its per-pair corrections and lifted side entries; a test that patches
+    # lift_word keeps its sub-lifts across calls, and a rho step its per-pair
+    # corrections, lifted side entries and their actions; a test that patches
     # a function on the lift path must neither read values made before the
     # patch nor leave patched ones to a later test
     _clear_lift_memos()
@@ -27,3 +29,21 @@ def no_sublift_memo(monkeypatch):
     """lift_word with a memo that stores nothing, so every sub-lift is made
     by its own rho steps, as the pinned step counts assume."""
     monkeypatch.setattr(cu, "_SUBLIFT_CAP", 0)
+
+
+def _tensor_T_of_box(c):
+    """bimodule.tensor_T of a complex over the box algebra: each boxed
+    summand becomes its shifted T block and each entry acts factor-wise.
+    The last stage of rho's whole-square oracle,
+    tensor_T(lift_to_box(tensor_f2(m, nc)))."""
+    n = c.ops.n
+    blocks = [bm.t_pair(n, *s.vertex).complex for s in c.summands]
+    shifts = [(q, k) for _, q, k in c.summands]
+    actions = [(j, i, bm.act_element(n, e)) for (j, i), e in c.delta.items()]
+    return bm.tensor_T(n, blocks, shifts, actions)
+
+
+@pytest.fixture
+def tensor_T_of_box():
+    """The whole-square oracle's tensor_T, which takes a Box complex."""
+    return _tensor_T_of_box

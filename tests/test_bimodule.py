@@ -290,29 +290,29 @@ def test_verify_bimodule_n4():
     assert ck.bimodule_failures(4)[0] == []
 
 
-def test_tensor_T_single_projective():
+def test_tensor_T_single_projective(tensor_T_of_box):
     n = 2
     ops = cx.BoxAlgebraOps(n)
     for x in vx.all_vertices(n):
         for y in vx.all_vertices(n):
-            out = bm.tensor_T(cx.projective(ops, (x, y)))
+            out = tensor_T_of_box(cx.projective(ops, (x, y)))
             tp = bm.t_pair(n, x, y)
             assert out.summands == tp.complex.summands
             assert out.delta == tp.complex.delta
 
 
-def test_tensor_T_respects_shifts():
+def test_tensor_T_respects_shifts(tensor_T_of_box):
     n = 2
     ops = cx.BoxAlgebraOps(n)
     c = cx.projective(ops, (1 << 0, 1 << 1), qshift=2, cohshift=1)
-    out = bm.tensor_T(c)
+    out = tensor_T_of_box(c)
     assert cx.k0_class(out) == {
         v: LaurentZ.q_power(2, -1) * coeff
         for v, coeff in kz.mult_mono(n, 1 << 0, 1 << 1).items()
     }
 
 
-def test_tensor_T_refuses_colliding_blocks(monkeypatch):
+def test_tensor_T_refuses_colliding_blocks(monkeypatch, tensor_T_of_box):
     # a diagonal entry off its endpoints (the Box contract allows neither):
     # its action lands on the T block's differential entry (1, 0).  tensor_T
     # never sums overlapping pieces: it refuses them before its verify_mc.
@@ -326,18 +326,18 @@ def test_tensor_T_refuses_colliding_blocks(monkeypatch):
     assert set(act) & set(bm.t_pair(n, x, y).complex.delta)
     monkeypatch.setattr(bm, "verify_mc", lambda out: pytest.fail("verify_mc reached"))
     with pytest.raises(AssertionError, match="pieces overlap"):
-        bm.tensor_T(c)
+        tensor_T_of_box(c)
 
 
-def test_tensor_T_zero():
-    out = bm.tensor_T(cx.ProjComplex(cx.BoxAlgebraOps(2), (), {}))
+def test_tensor_T_zero(tensor_T_of_box):
+    out = tensor_T_of_box(cx.ProjComplex(cx.BoxAlgebraOps(2), (), {}))
     assert out.summands == () and not out.delta
 
 
-def test_tensor_T_k0_multiplicative_n3():
+def test_tensor_T_k0_multiplicative_n3(tensor_T_of_box):
     n = 3
     ops = cx.BoxAlgebraOps(n)
     for x in vx.all_vertices(n):
         for y in vx.all_vertices(n):
-            out = bm.tensor_T(cx.projective(ops, (x, y)))
+            out = tensor_T_of_box(cx.projective(ops, (x, y)))
             assert cx.k0_class(out) == kz.mult_mono(n, x, y)

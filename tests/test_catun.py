@@ -116,16 +116,38 @@ def _corrections(c):
             if any(kind == DIAG for _, arrows in e for kind, _ in arrows)]
 
 
-def _record_boxes(monkeypatch):
-    """The Box complexes that two-sided rho steps hand to tensor_T."""
-    real, boxes = cu.tensor_T, []
-    monkeypatch.setattr(cu, "tensor_T", lambda c: boxes.append(c) or real(c))
-    return boxes
+def _moves(c):
+    """Whether c has an entry monomial (x, w) with x != w."""
+    return any(x != w for e in c.delta.values() for x, w in e)
+
+
+def _record_steps(monkeypatch):
+    """Every rho step met from now on, as (m, nc, values): values lists what
+    each _cross_correction read of the step returned, a correction or None.
+    A two-sided step is one whose inputs both move (_moves); only those
+    read _cross_correction."""
+    steps, real_rho, real_cross = [], cu.rho, cu._cross_correction
+
+    def rho(m, nc):
+        steps.append((m, nc, []))
+        return real_rho(m, nc)
+
+    def cross(*args):
+        steps[-1][2].append(out := real_cross(*args))
+        return out
+
+    monkeypatch.setattr(cu, "rho", rho)
+    monkeypatch.setattr(cu, "_cross_correction", cross)
+    return steps
+
+
+def _placed(values):
+    return sum(c is not None for c in values)
 
 
 def test_rho_checks_contract_twice(monkeypatch):
     # on warm caches one rho step checks the degree contract at two points:
-    # on both R inputs in check_factors, and on the output in assemble_T's
+    # on both R inputs in check_factors, and on the output in tensor_T's
     # verify_mc; three calls, never over RR or Box.  This holds one-sided
     # (E, F), two-sided without correction (EF, EF) and two-sided with one
     # correction (EF, FE), whose per-pair lifts are memoized
@@ -134,13 +156,13 @@ def test_rho_checks_contract_twice(monkeypatch):
     cu.rho(EF, EF), cu.rho(EF, FE)  # fill the t_pair, per-entry and per-pair caches
     real = cx.contract_violation
     for pair, corrected in (((E, F), 0), ((EF, EF), 0), ((EF, FE), 1)):
-        assert cu._one_sided(*pair) == (pair == (E, F))
+        assert (_moves(pair[0]) and _moves(pair[1])) == (pair != (E, F))
         calls = []
         monkeypatch.setattr(cx, "contract_violation", lambda c: calls.append(c) or real(c))
         with monkeypatch.context() as mp:
-            boxes = _record_boxes(mp)
+            steps = _record_steps(mp)
             out = cu.rho(*pair)
-        assert sum(len(_corrections(c)) for c in boxes) == corrected
+        assert [_placed(values) for _, _, values in steps] == [corrected]
         assert len(calls) == 3 and all(c is x for c, x in zip(calls, (*pair, out)))
 
 
@@ -283,7 +305,7 @@ RHO_MEMOS = [
     (cx, "_lift_entry"),
     (cx, "_side_entry"),
     (cx, "_boundary_preimage"),
-    (bm, "act_element"),
+    (cu, "act_element"),
     (cu, "_side_lift"),
     (cu, "_side_action"),
     (cu, "_cross_correction"),
@@ -339,7 +361,7 @@ def test_rho_builds_normalized_complexes(monkeypatch):
     # ProjComplex takes its data as given, so every builder must make it in
     # normal form: a tuple of summands and nonempty frozenset entries
     built = []
-    for name in ("tensor_f2", "lift_to_box", "tensor_T", "_rho_one_sided"):
+    for name in ("tensor_f2", "lift_to_box", "tensor_T"):
         step = getattr(cu, name)
 
         def record(*args, step=step):
@@ -392,15 +414,15 @@ def _distinct(steps):
     }.values()
 
 
-def test_one_sided_lifts_match_corrected_path(no_sublift_memo):
+def test_one_sided_lifts_match_corrected_path(no_sublift_memo, tensor_T_of_box):
     # every E/F word of 2-5 letters under every tree at n = 2..4 makes 6,024
-    # one-sided rho steps and 180 two-sided ones.  On each distinct
-    # one-sided step the RR square and the plain section lift's square are
-    # zero, the corrected path adds no correction, and the direct path's
-    # output equals tensor_T(lift_to_box(tensor_f2(m, nc))).
+    # one-sided rho steps (one input moves no vertex) and 180 two-sided ones.
+    # On each distinct one-sided step the RR square and the plain section
+    # lift's square are zero, the whole-square lift adds no correction, and
+    # rho's output equals tensor_T(lift_to_box(tensor_f2(m, nc))).
     words = [w for k in range(2, 6) for w in product("EF", repeat=k)]
     met = _rho_steps(words, (2, 3, 4))
-    one_sided = [(n, m, nc) for n, m, nc in met if cu._one_sided(m, nc)]
+    one_sided = [(n, m, nc) for n, m, nc in met if not (_moves(m) and _moves(nc))]
     assert (len(one_sided), len(met) - len(one_sided)) == (6024, 180)
     for n, m, nc in _distinct(one_sided):
         square = cx.tensor_f2(m, nc)
@@ -409,20 +431,21 @@ def test_one_sided_lifts_match_corrected_path(no_sublift_memo):
         assert not cx.delta_square(cx.ProjComplex(cx.BoxAlgebraOps(n), square.summands, plain))
         lifted = cx.lift_to_box(square)
         assert lifted.delta == plain
-        slow = bm.tensor_T(lifted)
-        fast = cu._rho_one_sided(m, nc)
+        slow = tensor_T_of_box(lifted)
+        fast = cu.rho(m, nc)
         assert fast.summands == slow.summands and fast.delta == slow.delta
 
 
-def test_two_sided_lifts_match_corrected_path(no_sublift_memo):
+def test_two_sided_lifts_match_corrected_path(no_sublift_memo, tensor_T_of_box):
     # the 180 two-sided rho steps of the same sweep.  On each distinct one
     # the whole square's lift has its residual only at cross keys, the keys
     # (j*w + j2, i*w + i2) of a left entry (j, i) and a right entry
-    # (j2, i2); its corrections are the per-pair ones; and the per-pair
-    # path's output equals tensor_T(lift_to_box(tensor_f2(m, nc))).
+    # (j2, i2); its corrections are the per-pair ones, with none at a pair
+    # that has an idempotent entry; and rho's output equals
+    # tensor_T(lift_to_box(tensor_f2(m, nc))).
     words = [w for k in range(2, 6) for w in product("EF", repeat=k)]
     two_sided = [(n, m, nc) for n, m, nc in _rho_steps(words, (2, 3, 4))
-                 if not cu._one_sided(m, nc)]
+                 if _moves(m) and _moves(nc)]
     assert len(two_sided) == 180
     corrected = 0
     for n, m, nc in _distinct(two_sided):
@@ -440,18 +463,37 @@ def test_two_sided_lifts_match_corrected_path(no_sublift_memo):
             k: c for k, c in cross.items() if c is not None}
         assert {k: lifted.delta[k] for k in plain} == plain
         corrected += len(lifted.delta) > len(plain)
-        slow = bm.tensor_T(lifted)
-        fast = cu._rho_two_sided(m, nc)
+        slow = tensor_T_of_box(lifted)
+        fast = cu.rho(m, nc)
         assert fast.summands == slow.summands and fast.delta == slow.delta
     assert corrected
 
 
+def test_idempotent_entries_take_no_cross_correction():
+    # an idempotent entry lifts to the empty path, so at its cross key with
+    # any other entry the two paths are equal and cancel over F2: no
+    # correction, on either side, for every vertex and basis monomial at
+    # n = 1..3 (1,160 ordered pairs).  So rho pairs only moving entries.
+    pairs = 0
+    for n in (1, 2, 3):
+        verts = vx.all_vertices(n)
+        monos = [m for x in verts for w in verts if (m := ra.basis_mon_r(n, x, w)) is not None]
+        for x in verts:
+            e = frozenset([(x, x)])
+            for f in (frozenset([m]) for m in monos):
+                assert cu._cross_correction(n, e, f) is None
+                assert cu._cross_correction(n, f, e) is None
+                pairs += 2
+    assert pairs == 1160
+
+
 def test_one_sided_step_skips_both_squares(monkeypatch):
     # on warm caches a one-sided rho step builds no tensor square and no
-    # lift, and multiplies no RR and no Box entries: no tensor_f2,
-    # lift_to_box, RR product or mat_then call, so a silent fall back to the
-    # corrected path shows; a two-sided step makes all four on the pairs of
-    # entries it has not lifted before
+    # lift, multiplies no RR and no Box entries and reads no cross
+    # correction: no tensor_f2, lift_to_box, RR product, mat_then or
+    # _cross_correction call, so a one-sided step that enters the cross
+    # loop shows; a two-sided step reads the cross corrections and makes
+    # the other four on the pairs of entries it has not lifted before
     n = 3
     EF = cu.lift_word(n, cu.parse_word("EF"))
     one_sided = [(EF, cu.letter_complex(n, "E")), (cu.letter_complex(n, "F"), EF)]
@@ -459,7 +501,8 @@ def test_one_sided_step_skips_both_squares(monkeypatch):
         cu.rho(*pair)  # fill the t_pair and per-entry caches
     calls = []
     for holder, name in ((cu, "tensor_f2"), (cu, "lift_to_box"), (cx.algebra("RR", n), "mult"),
-                         (cx, "mat_then"), (bm, "mat_then")):
+                         (cx, "mat_then"), (bm, "mat_then"), (cu, "mat_then"),
+                         (cu, "_cross_correction")):
         real = getattr(holder, name)
         monkeypatch.setattr(
             holder, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
@@ -467,7 +510,7 @@ def test_one_sided_step_skips_both_squares(monkeypatch):
         cu.rho(*pair)
     assert EF.delta and calls == []
     cu.rho(EF, EF)
-    assert set(calls) == {"tensor_f2", "lift_to_box", "mat_then", "mult"}
+    assert set(calls) == {"tensor_f2", "lift_to_box", "mat_then", "mult", "_cross_correction"}
 
 
 def test_parity_square_names_rr_monomials():
@@ -493,14 +536,14 @@ def test_parity_square_names_rr_monomials():
 def test_word_sweep_reaches_corrections(monkeypatch, no_sublift_memo):
     # the catun word sweep lifts the four- and five-letter E/F words, so at
     # n = 3 it meets 68 two-sided steps and takes 58 corrections (4 and 2
-    # of them in the four-letter words), counted as the D-bearing entries
-    # of the Box complexes handed to tensor_T
-    real, two_sided = cu._rho_two_sided, []
-    monkeypatch.setattr(cu, "_rho_two_sided", lambda m, nc: two_sided.append(m) or real(m, nc))
-    boxes = _record_boxes(monkeypatch)
+    # of them in the four-letter words), counted as the values other than
+    # None that rho reads from _cross_correction; no one-sided step reads one
+    steps = _record_steps(monkeypatch)
     assert ck.word_lift_failures(3) == ([], 676)
-    assert len(two_sided) == len(boxes) == 68
-    assert sum(len(_corrections(c)) for c in boxes) == 58
+    two_sided = [values for m, nc, values in steps if _moves(m) and _moves(nc)]
+    assert len(two_sided) == 68
+    assert sum(_placed(values) for values in two_sided) == 58
+    assert all(not values for m, nc, values in steps if not (_moves(m) and _moves(nc)))
 
 
 def test_lift_without_correction_is_refused(monkeypatch):
@@ -517,18 +560,59 @@ def test_lift_without_correction_is_refused(monkeypatch):
         assert str(err.value) == f"d(delta)+delta^2 nonzero at {key} over Box"
 
 
+def test_box_square_check_refuses_one_changed_correction(monkeypatch):
+    # a step's corrections cancel their products with the side entries,
+    # c*delta + delta*c + c*c, only together.  Adding the first basis class
+    # of the Hom-space of cohomological degree -1 at the cross key, over F2,
+    # to the correction at the first cross key of rho(EF, EFFE) alone
+    # leaves a nonzero product, which rho refuses before tensor_T is
+    # reached.  Adding it at every cross key alike keeps the products
+    # cancelling, and only tensor_T's verify_mc refuses the output.
+    n = 3
+    EF, EFFE = (cu.lift_word(n, cu.parse_word(w)) for w in ("EF", "EFFE"))
+    real = cu._cross_correction
+
+    def changed(first_only):
+        keys = []
+
+        def cross(n, e, f):
+            c = real(n, e, f)
+            ((x, w),), ((x2, w2),) = e, f
+            basis = cx.box_algebra(n).hom_basis((x, x2), (w, w2), cohdeg=-1)
+            if not basis or first_only and keys:
+                return c
+            keys.append((e, f))
+            return (c or frozenset()) ^ {((x, x2), basis[0])} or None
+
+        return cross
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cu, "_cross_correction", changed(first_only=True))
+        mp.setattr(bm, "verify_mc", lambda c: pytest.fail("tensor_T reached"))
+        with pytest.raises(cx.LiftError) as err:
+            cu.rho(EF, EFFE)
+    assert str(err.value) == "d(delta)+delta^2 nonzero at (35, 1) over Box"
+    monkeypatch.setattr(cu, "_cross_correction", changed(first_only=False))
+    with pytest.raises(AssertionError, match="tensor functor produced an invalid complex"):
+        cu.rho(EF, EFFE)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_one_correction_pass_lifts_five_letter_words(monkeypatch, no_sublift_memo, n):
     # every five-letter E/F word under every tree: 40 two-sided steps take
-    # a correction, and every Box complex handed to tensor_T is valid after
-    # its one pass
-    boxes = _record_boxes(monkeypatch)
+    # a correction, and the Box complex of each, rebuilt by the
+    # whole-square oracle, bears those corrections and is valid after its
+    # one pass
+    steps = _record_steps(monkeypatch)
     for w in product("EF", repeat=5):
         for tree in ck.all_trees(0, 5):
             cu.lift_word(n, cu.Word(w, tree))
-    assert sum(bool(_corrections(c)) for c in boxes) == 40
-    for c in boxes:
-        ok, witness = cx.verify_mc(c)
+    corrected = [(m, nc, _placed(values)) for m, nc, values in steps if _placed(values)]
+    assert len(corrected) == 40
+    for m, nc, placed in corrected:
+        box = cx.lift_to_box(cx.tensor_f2(m, nc))
+        assert len(_corrections(box)) == placed
+        ok, witness = cx.verify_mc(box)
         assert ok, witness
 
 

@@ -295,7 +295,7 @@ def test_section_keeps_rr_degrees(n):
 
 @pytest.mark.parametrize("call", [
     "cx.lift_to_box(cx.projective(cx.RAlgebraOps(2), 0))",
-    "bm.tensor_T(cx.projective(cx.RAlgebraOps(2), 0))",
+    "bm.tensor_T(2, [t := bm.t_pair(2, 1, 2).complex], [(0, 0)], [(0, 0, t.delta)])",
     "cx.tensor_f2(cx.projective(cx.RAlgebraOps(2), 0), cx.projective(cx.RAlgebraOps(3), 0))",
     "cu.rho(cu.letter_complex(2, 'One'), cu.letter_complex(3, 'F'))",
     "cu.rho(cx.projective(cx.BoxAlgebraOps(2), (0, 0)), cu.letter_complex(2, 'F'))",
