@@ -7,10 +7,9 @@ of the lifted complex, and the wall time of the lift.  After the left folds
 of EF repeated k = 1..4 times, whose rho steps are all one-sided, each n
 lifts EFFE under ((..)(..)), whose last step is two-sided (both inputs
 move a vertex) and takes a correction, so the memos that only such steps
-fill get entries too.  Rows run in one
-process in the order printed, so a row reuses the caches (T(x, y), box
-classes, right actions, per-entry maps, sub-lifts) that earlier rows
-filled.  After the
+fill get entries too.  Rows run in one process in the order printed, so a
+row reuses the caches (T(x, y) and its shifted blocks, box classes, right
+actions, per-entry maps, sub-lifts) that earlier rows filled.  After the
 rows of each n, one line gives the entry count of each memo of the rho
 pipeline over every n so far (each algebra adapter's memos by name, as
 "RR mult", summed over those n), and the summands and entries held by
@@ -39,6 +38,7 @@ MEMOS = {
     "side_lift": cu._side_lift,
     "side_action": cu._side_action,
     "cross_correction": cu._cross_correction,
+    "block": cu._block,
     "t_pair": bm.t_pair,
 }
 

@@ -18,7 +18,7 @@ swept by cliffcat.checks.bimodule_failures.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from . import kzero as kz
@@ -140,27 +140,25 @@ def act_element(n, elem):
 # the induced functor on complexes over the thickened algebra
 
 
-def tensor_T(n, blocks, shifts, actions):
-    """The tensor functor's output over R: blocks[i], the T block of a boxed
-    summand, shifted by shifts[i] = (q, k), and the action entries of each
-    (j, i, entries), as act_element gives them, in the rectangle of blocks
-    j and i.
+def tensor_T(n, blocks, actions):
+    """The tensor functor's output over R: blocks[i] = (summands, delta),
+    the summands of a boxed summand's T block already shifted by that
+    summand's (q, k) and the block's own differential, and the action
+    entries of each (j, i, entries), as act_element gives them, in the
+    rectangle of blocks j and i.
 
-    The differential is assembled from pieces (row offset, column offset,
-    entries): the differential of each block that has one, and the actions.
-    When every action starts and ends at its blocks' vertices and none is
-    diagonal, as the Box contract demands, the pieces are disjoint and each
-    key is written once; pieces that overlap raise AssertionError, and an
-    invalid output raises AssertionError with verify_mc's witness."""
-    bases = list(accumulate([len(b.summands) for b in blocks], initial=0))
-    new = tuple.__new__
-    summands = tuple([
-        new(Summand, (v, q + tq, k + tk))
-        for (q, k), block in zip(shifts, blocks)
-        for v, tq, tk in block.summands
-    ])
-    pieces = [(base, base, b.delta) for base, b in zip(bases, blocks) if b.delta]
-    pieces += [(bases[j], bases[i], entries) for j, i, entries in actions]
+    The summands are the blocks' summands in order.  The differential is
+    assembled from pieces (row offset, column offset, entries): each
+    nonempty block differential and each nonempty action.  When every
+    action starts and ends at its blocks' vertices and none is diagonal, as
+    the Box contract demands, the pieces are disjoint and each key is
+    written once; pieces that overlap raise AssertionError, and an invalid
+    output raises AssertionError with verify_mc's witness."""
+    parts, diffs = zip(*blocks) if blocks else ((), ())
+    bases = list(accumulate(map(len, parts), initial=0))
+    summands = tuple(chain.from_iterable(parts))
+    pieces = [(base, base, d) for base, d in zip(bases, diffs) if d]
+    pieces += [(bases[j], bases[i], entries) for j, i, entries in actions if entries]
     delta = {(row + j, col + i): e for row, col, entries in pieces for (j, i), e in entries.items()}
     if len(delta) < sum([len(entries) for _, _, entries in pieces]):
         raise AssertionError("tensor_T pieces overlap: its input breaks the Box contract")

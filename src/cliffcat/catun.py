@@ -48,11 +48,12 @@ def rho(m, nc):
     is zero unless both move a vertex, so _cross_correction corrects only
     such pairs; where it places one, c*delta + delta*c + c*c is checked
     here.  A refused pair re-lifts the whole square for lift_to_box's
-    witness.  Inputs are checked by check_factors, the output by tensor_T."""
+    witness.  Each summand pair's T block comes shifted from _block.  Inputs
+    are checked by check_factors, the output by tensor_T."""
     check_factors(m, nc)
     n, w = m.ops.n, len(nc.summands)
-    blocks = [t_pair(n, x, y).complex for x, _, _ in m.summands for y, _, _ in nc.summands]
-    shifts = [(a1 + a2, b1 + b2) for _, a1, b1 in m.summands for _, a2, b2 in nc.summands]
+    blocks = [_block(n, x, y, a1 + a2, b1 + b2)
+              for x, a1, b1 in m.summands for y, a2, b2 in nc.summands]
     actions = tensor_entries(m, nc, partial(_side_action, n))
     left, right = _moving(m), _moving(nc)
     try:
@@ -72,7 +73,17 @@ def rho(m, nc):
         if square:
             raise LiftError(f"d(delta)+delta^2 nonzero at {min(square)} over Box")
         actions += [(j, i, act_element(n, c)) for (j, i), c in corrections.items()]
-    return tensor_T(n, blocks, shifts, actions)
+    return tensor_T(n, blocks, actions)
+
+
+@lru_cache(maxsize=None)
+def _block(n, x, y, q, k):
+    """The T(x, y) block of a summand pair whose shifts add to (q, k), as
+    tensor_T takes it: the block's summands shifted by (q, k), and its
+    differential (t_pair's own dict, which callers must not mutate)."""
+    c = t_pair(n, x, y).complex
+    new = tuple.__new__
+    return tuple([new(Summand, (v, q + tq, k + tk)) for v, tq, tk in c.summands]), c.delta
 
 
 def _moving(c):

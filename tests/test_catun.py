@@ -309,6 +309,7 @@ RHO_MEMOS = [
     (cu, "_side_lift"),
     (cu, "_side_action"),
     (cu, "_cross_correction"),
+    (cu, "_block"),
 ]
 ADAPTER_MEMOS = [("RR", "mult"), ("Box", "mult"), ("Box", "diff")]
 

@@ -60,11 +60,13 @@ def test_mc_negative_controls():
     assert not ok and "cohomological" in witness
     # entry endpoints must match the summand vertices
     bad = cx.ProjComplex(c.ops, c.summands, {(0, 1): frozenset([(0, vx.from_seq((1, 0)))])})
-    ok, _ = cx.verify_mc(bad)
-    assert not ok
-    # an entry past the last summand, or one mixing two degrees, is reported
-    bad = cx.ProjComplex(c.ops, c.summands, {(2, 0): frozenset([(0, vx.from_seq((1, 0)))])})
-    assert cx.verify_mc(bad) == (False, "entry (2,0) out of range")
+    assert cx.verify_mc(bad) == (False, "entry (0,1) endpoints do not match summands")
+    # an entry past the last summand or before the first (which Python's
+    # negative indexing would silently read), or one mixing two degrees, is
+    # reported
+    for j, i in ((2, 0), (-1, 0), (0, -1)):
+        bad = cx.ProjComplex(c.ops, c.summands, {(j, i): frozenset([(0, vx.from_seq((1, 0)))])})
+        assert cx.verify_mc(bad) == (False, f"entry ({j},{i}) out of range")
     mixed = frozenset([(0, vx.from_seq((1, 0))), (0, 0)])
     ok, witness = cx.verify_mc(cx.ProjComplex(c.ops, c.summands, {(1, 0): mixed}))
     assert not ok and witness.startswith("inhomogeneous entry")
@@ -293,9 +295,11 @@ def test_section_keeps_rr_degrees(n):
         assert box.mono_degrees(box.algebra.section_rr(m)) == rr.mono_degrees(m), m
 
 
+# tensor_T's case: complex[1:] is a block record (summands, delta), and the
+# block's own differential, passed again as an action, overlaps it
 @pytest.mark.parametrize("call", [
     "cx.lift_to_box(cx.projective(cx.RAlgebraOps(2), 0))",
-    "bm.tensor_T(2, [t := bm.t_pair(2, 1, 2).complex], [(0, 0)], [(0, 0, t.delta)])",
+    "bm.tensor_T(2, [t := bm.t_pair(2, 1, 2).complex[1:]], [(0, 0, t[1])])",
     "cx.tensor_f2(cx.projective(cx.RAlgebraOps(2), 0), cx.projective(cx.RAlgebraOps(3), 0))",
     "cu.rho(cu.letter_complex(2, 'One'), cu.letter_complex(3, 'F'))",
     "cu.rho(cx.projective(cx.BoxAlgebraOps(2), (0, 0)), cu.letter_complex(2, 'F'))",

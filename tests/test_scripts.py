@@ -13,7 +13,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 MEMO_NAMES = [
     "R degrees", "RR degrees", "RR mult", "Box degrees", "Box mult", "Box diff",
     "lift_entry", "side_entry", "boundary_preimage", "act_element", "side_lift", "side_action",
-    "cross_correction", "t_pair",
+    "cross_correction", "block", "t_pair",
 ]
 # the memos that only a two-sided rho step fills
 TWO_SIDED_MEMOS = ["RR mult", "Box mult", "Box diff", "boundary_preimage", "cross_correction"]
